@@ -1,14 +1,16 @@
-(* dd_halo: [Vrank.Dd_solve.solve_normal] for the Wilson operator on
-   8⁴ at mass 0.2 over 4 virtual ranks (grid 1×1×2×2), run one after
-   another in this thread with staged transport and fine-grained halo
-   completion — the vrank/Comm halo layer's workload. Set-up generates
-   the gauge field and builds the decomposed operator and solver; a
-   pass is one distributed solve. *)
+(* The vrank/Comm halo layer's probe: [Vrank.Dd_solve.solve_normal] for
+   the Wilson operator on 8⁴ at mass 0.2 over 4 virtual ranks (grid
+   1×1×2×2), run one after another in this thread with staged transport
+   and fine-grained halo completion. It runs in ensemble_io's traced
+   run on a fixed input (the gauge field and source drawn from
+   [seed], not from the workload's --seed), so its iteration and
+   communication counts are the same in every run and are checked
+   against the goldens. *)
 
 module Field = Linalg.Field
 module Comm = Vrank.Comm
 
-let default_seed = 20_180_920
+let seed = 20_180_920
 let dims = [| 8; 8; 8; 8 |]
 let grid = [| 1; 1; 2; 2 |]
 let mass = 0.2
@@ -21,17 +23,9 @@ type setup = {
   b : Field.t;
 }
 
-(* The decomposed operator and solver on [gauge], with a Gaussian
-   source drawn from [rng]. *)
-let decompose gauge rng =
-  let geom = Lattice.Gauge.geom gauge in
-  let dd = Vrank.Dd_wilson.create (Lattice.Domain.create geom grid) gauge in
-  let solver = Vrank.Dd_solve.create dd ~mass in
-  let b = Field.create (Lattice.Geometry.volume geom * Dirac.Wilson.floats_per_site) in
-  Field.gaussian rng b;
-  { gauge; dd; solver; b }
-
-let setup seed =
+(* The gauge field (warm start + one sweep), the decomposed operator and
+   solver, and a Gaussian source. *)
+let setup () =
   let rng = Util.Rng.create seed in
   let geom = Lattice.Geometry.create dims in
   let configs, _ =
@@ -39,40 +33,50 @@ let setup seed =
       { Lattice.Heatbath.beta = 5.7; n_thermalize = 1; n_decorrelate = 0; n_overrelax = 1 }
       geom ~n_configs:1
   in
-  decompose configs.(0) rng
-
-type counts = { iterations : int; exchanges : int; allreduces : int; messages : int; bytes : float }
-
-(* One distributed solve; communication counts are this solve's
-   deltas. *)
-let solve st =
-  let stats = Comm.stats (Vrank.Dd_wilson.comm st.dd) in
-  let m0 = stats.Comm.messages and b0 = stats.Comm.bytes in
-  let x, cg, `Exchanges ex, `Allreduces ar = Vrank.Dd_solve.solve_normal ~tol st.solver ~b_global:st.b in
-  (x, cg, (ex, ar, stats.Comm.messages - m0, stats.Comm.bytes -. b0))
-
-let last_totals = ref (0, 0)
-
-let counts_of cg (ex, ar, messages, bytes) =
-  let ex0, ar0 = !last_totals in
-  last_totals := (ex, ar);
-  {
-    iterations = cg.Solver.Cg.iterations;
-    exchanges = ex - ex0;
-    allreduces = ar - ar0;
-    messages;
-    bytes;
-  }
-
-let digest x (c : counts) =
-  Measure.digest_field x
-  ^ Printf.sprintf ":%d:%d:%d:%d:%.0f" c.iterations c.exchanges c.allreduces c.messages c.bytes
+  let gauge = configs.(0) in
+  let dd = Vrank.Dd_wilson.create (Lattice.Domain.create geom grid) gauge in
+  let solver = Vrank.Dd_solve.create dd ~mass in
+  let b = Field.create (Lattice.Geometry.volume geom * Dirac.Wilson.floats_per_site) in
+  Field.gaussian rng b;
+  { gauge; dd; solver; b }
 
 let check_comm st =
   let stats = Comm.stats (Vrank.Dd_wilson.comm st.dd) in
   Measure.check (stats.Comm.corruptions = 0) "dd_halo: %d halo corruptions" stats.Comm.corruptions;
   Measure.check (stats.Comm.send_buffer_races = 0) "dd_halo: %d send-buffer races"
     stats.Comm.send_buffer_races
+
+(* One distributed solve on a fresh [setup] inside a "vrank.solve" span
+   carrying its exact counts (the solver's and the communicator's
+   totals, which on a fresh set-up are this solve's). Checks
+   convergence, finiteness, the halo statistics and the golden
+   counts. *)
+let traced_solve st =
+  let stats = Comm.stats (Vrank.Dd_wilson.comm st.dd) in
+  let x, cg, exchanges =
+    Spans.span "vrank.solve" (fun () ->
+        let x, cg, `Exchanges ex, `Allreduces ar =
+          Vrank.Dd_solve.solve_normal ~tol st.solver ~b_global:st.b
+        in
+        Spans.count "iterations" (float_of_int cg.Solver.Cg.iterations);
+        Spans.count "flops" cg.Solver.Cg.flops;
+        Spans.count "exchanges" (float_of_int ex);
+        Spans.count "allreduces" (float_of_int ar);
+        Spans.count "messages" (float_of_int stats.Comm.messages);
+        Spans.count "wire_bytes" stats.Comm.bytes;
+        (x, cg, ex))
+  in
+  Measure.check cg.Solver.Cg.converged "dd_halo: distributed solve did not converge";
+  Measure.check (Measure.all_finite (Field.to_array x)) "dd_halo: non-finite solution";
+  check_comm st;
+  let g = Goldens.dd_halo in
+  Measure.check
+    (cg.Solver.Cg.iterations = g.Goldens.iterations
+    && exchanges = g.Goldens.exchanges
+    && stats.Comm.messages = g.Goldens.messages)
+    "golden dd_halo counts: %d iterations, %d exchanges, %d messages" cg.Solver.Cg.iterations
+    exchanges stats.Comm.messages;
+  x
 
 (* Single-domain CGNE on the same system: the oracle the distributed
    solve must agree with. *)
@@ -107,99 +111,3 @@ let check_against_single_domain st x =
   Field.sub x x1 d;
   let rel = sqrt (Field.norm2 d /. Field.norm2 x1) in
   Measure.check (rel <= 1e-6) "dd_halo: distributed solve differs from single-domain CGNE by %.2e" rel
-
-let check_goldens (c : counts) =
-  let g = Goldens.dd_halo in
-  Measure.check
-    (c.iterations = g.Goldens.iterations && c.exchanges = g.Goldens.exchanges
-    && c.messages = g.Goldens.messages)
-    "golden dd_halo counts: %d iterations, %d exchanges, %d messages" c.iterations c.exchanges
-    c.messages
-
-let pass st () =
-  let r = Measure.recorder () in
-  let x, cg, raw = Measure.step r "vrank.solve" (fun () -> solve st) in
-  let c = counts_of cg raw in
-  Measure.check cg.Solver.Cg.converged "dd_halo: distributed solve did not converge";
-  Measure.check (Measure.all_finite (Field.to_array x)) "dd_halo: non-finite solution";
-  ({ Measure.steps = Measure.steps r; digest = digest x c }, x, c)
-
-let run_untraced ~seed ~seconds =
-  let setups = Measure.setups 3 (fun () -> setup seed) in
-  let st = fst (List.hd setups) in
-  List.iter
-    (fun (s, _) ->
-      Measure.check
-        (Measure.digest_field s.b = Measure.digest_field st.b
-        && Measure.digest_field (Lattice.Gauge.data s.gauge)
-           = Measure.digest_field (Lattice.Gauge.data st.gauge))
-        "dd_halo: set-up did not regenerate the same inputs")
-    setups;
-  last_totals := (0, 0);
-  let last = ref None in
-  let passes =
-    Measure.run_passes ~min_passes:3 ~seconds (fun () ->
-        let p, x, c = pass st () in
-        last := Some (x, c);
-        p)
-  in
-  Measure.check_passes_identical "dd_halo" passes;
-  check_comm st;
-  (match !last with
-  | Some (x, c) ->
-    Printf.printf "solve: %d iterations, %d exchanges, %d allreduces, %d messages, %.0f bytes\n"
-      c.iterations c.exchanges c.allreduces c.messages c.bytes;
-    check_against_single_domain st x;
-    if seed = default_seed then check_goldens c
-  | None -> ());
-  (passes, List.map snd setups)
-
-(* One distributed solve inside a "vrank.solve" span carrying its exact
-   counts. *)
-let traced_solve st =
-  Spans.span "vrank.solve" (fun () ->
-      let x, cg, raw = solve st in
-      let c = counts_of cg raw in
-      Spans.count "iterations" (float_of_int c.iterations);
-      Spans.count "flops" cg.Solver.Cg.flops;
-      Spans.count "exchanges" (float_of_int c.exchanges);
-      Spans.count "allreduces" (float_of_int c.allreduces);
-      Spans.count "messages" (float_of_int c.messages);
-      Spans.count "wire_bytes" c.bytes;
-      Measure.check cg.Solver.Cg.converged "dd_halo: traced solve did not converge";
-      (digest x c, x, c))
-
-let run_traced ~seed =
-  let st = setup seed in
-  last_totals := (0, 0);
-  let (ref_pass, _, _), untraced_wall = Measure.time (fun () -> pass st ()) in
-  Spans.reset ();
-  let (traced_digest, x, c), traced_wall =
-    Measure.time (fun () ->
-        Spans.span "core.pipeline" (fun () ->
-            Spans.span "stage.solve" (fun () ->
-                traced_solve st)))
-  in
-  Measure.check (traced_digest = ref_pass.Measure.digest)
-    "dd_halo: traced solve did not reproduce the untraced solve bit for bit";
-  check_comm st;
-  Spans.span "bench.check_single_domain" (fun () -> check_against_single_domain st x);
-  if seed = default_seed then check_goldens c;
-  let geom = Lattice.Gauge.geom st.gauge in
-  let probes =
-    Spans.span "bench.probes" (fun () ->
-        let solver =
-          Solver.Dwf_solve.create
-            (Dirac.Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.1)
-            geom
-            (Lattice.Gauge.with_antiperiodic_time st.gauge)
-        in
-        let n = Field.length st.b in
-        let schur = Probes.schur_normal ~reps:5 solver in
-        let tail = Probes.cg_tail ~reps:10 n in
-        let quant = Probes.quantize ~reps:10 n in
-        let hop = Probes.wilson_hop ~reps:5 st.gauge in
-        let vhop, halo = Probes.vrank st.dd ~reps:5 in
-        { Layers.schur; tail; quant; hop; vhop; halo })
-  in
-  Layers.metrics ~untraced_wall ~traced_wall probes

@@ -5,9 +5,11 @@
    on the a09m310 synthetic ensemble (784 samples). The solver does no
    work here: solver and kernel changes must not move it.
 
-   Set-up draws the synthetic correlator ensemble the fit consumes. A
-   pass regenerates the chain from the same seed, one step per
-   combined sweep. *)
+   Set-up draws the synthetic correlator ensemble the fit consumes.
+   [pipeline] is the chain, the archive and the fit: an untraced pass
+   runs it with every call timed as a step (one per combined sweep);
+   the traced run runs it with every call in a span and must reproduce
+   [Heatbath.generate] + archive + fit bit for bit. *)
 
 module Heatbath = Lattice.Heatbath
 module Gauge = Lattice.Gauge
@@ -67,21 +69,20 @@ let reload_matches archive configs =
   | exception H5.Corrupt msg -> Measure.check false "ensemble_io: archive corrupt on reload: %s" msg
 
 (* [Heatbath.generate]'s chain, one combined sweep (heatbath + the
-   overrelaxation sweeps + plaquette) per [sweep] call. *)
-let chain ~seed ~(warm : (unit -> Gauge.t) -> Gauge.t) ~(sweep : int -> (unit -> unit) -> unit) =
+   overrelaxation sweeps + plaquette) per step. *)
+let chain ~seed (w : Measure.wrap) =
   let rng = Util.Rng.create seed in
   let geom = Lattice.Geometry.create dims in
-  let field = warm (fun () -> Gauge.warm geom rng ~eps:0.3) in
+  let field = w.step "lattice.warm_start" (fun () -> Gauge.warm geom rng ~eps:0.3) in
   let plaquettes = ref [] in
-  let k = ref 0 in
   let combined () =
-    sweep !k (fun () ->
+    w.step "lattice.heatbath" (fun () ->
+        Spans.count "sweeps" 1.;
         Heatbath.sweep rng ~beta:schedule.Heatbath.beta field;
         for _ = 1 to schedule.Heatbath.n_overrelax do
           Heatbath.overrelax_sweep field
         done;
-        plaquettes := Gauge.average_plaquette field :: !plaquettes);
-    incr k
+        plaquettes := Gauge.average_plaquette field :: !plaquettes)
   in
   for _ = 1 to schedule.Heatbath.n_thermalize do
     combined ()
@@ -108,19 +109,22 @@ let check_outputs o =
     (Float.is_finite (fst o.ga) && Float.is_finite (snd o.ga))
     "ensemble_io: non-finite fit value"
 
-let pass ~seed ~archive samples () =
-  let r = Measure.recorder () in
-  let configs, plaquettes =
-    chain ~seed
-      ~warm:(fun f -> Measure.step r "warm_start" f)
-      ~sweep:(fun k f -> Measure.step r (Printf.sprintf "sweep%02d" k) f)
-  in
-  Measure.step r "qio.write" (fun () -> write_archive archive configs);
-  Measure.step r "qio.read" (fun () -> reload_matches archive configs);
-  let ga = Measure.step r "fit" (fun () -> fit seed samples) in
+(* The chain, every configuration archived and reloaded, and the fit,
+   every call wrapped by [w]. Returns the configurations and the
+   outputs. *)
+let pipeline ~seed ~archive samples (w : Measure.wrap) =
+  let configs, plaquettes = w.stage "gauge" (fun () -> chain ~seed w) in
+  w.stage "io" (fun () ->
+      w.step "qio.write" (fun () ->
+          write_archive archive configs;
+          Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size));
+      w.step "qio.read" (fun () ->
+          Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size);
+          reload_matches archive configs));
+  let ga = w.stage "analysis" (fun () -> w.step "physics.fit" (fun () -> fit seed samples)) in
   let o = outputs configs plaquettes ga in
   check_outputs o;
-  ({ Measure.steps = Measure.steps r; digest = digest o }, o)
+  (configs, o)
 
 let check_goldens o =
   let g = Goldens.ensemble_io in
@@ -136,32 +140,27 @@ let check_goldens o =
 
 let run_untraced ~seed ~seconds ~out_dir =
   let archive = Filename.concat out_dir (Printf.sprintf "ensemble-%d.nfh5" seed) in
-  let setups = Measure.setups 3 (fun () -> synthetic seed) in
-  let samples = fst (List.hd setups) in
-  List.iter
-    (fun (s, _) -> Measure.check (s = samples) "ensemble_io: set-up did not redraw the same samples")
-    setups;
   let last = ref None in
-  let passes =
-    Measure.run_passes ~seconds (fun () ->
-        let p, o = pass ~seed ~archive samples () in
+  let run =
+    Measure.run ~seconds ~per_core:3 ~same:( = )
+      (fun () -> synthetic seed)
+      (fun samples ->
+        let r = Measure.recorder () in
+        let _, o = pipeline ~seed ~archive samples (Measure.timed r) in
         last := Some o;
-        p)
+        { Measure.steps = Measure.steps r; digest = digest o })
   in
-  Measure.check_passes_identical "ensemble_io" passes;
-  (match !last with
-  | Some o ->
-    Printf.printf "plaquettes: [| %s |]\ngA: %.17g +- %.17g\n"
-      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.17g") o.plaquettes)))
-      (fst o.ga) (snd o.ga);
-    if seed = default_seed then check_goldens o
-  | None -> ());
+  Measure.check_passes_identical "ensemble_io" run.Measure.passes;
+  let o = Option.get !last in
+  Printf.printf "plaquettes: [| %s |]\ngA: %.17g +- %.17g\n"
+    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.17g") o.plaquettes)))
+    (fst o.ga) (snd o.ga);
+  if seed = default_seed then check_goldens o;
   Sys.remove archive;
-  (passes, List.map snd setups)
+  run
 
 (* The untraced reference runs the chain through [Heatbath.generate]
-   itself; the traced pipeline sweeps call by call and must reproduce
-   it bit for bit. *)
+   itself; the traced pipeline must reproduce it bit for bit. *)
 let reference ~seed ~archive samples =
   let rng = Util.Rng.create seed in
   let configs, plaquettes =
@@ -171,65 +170,49 @@ let reference ~seed ~archive samples =
   reload_matches archive configs;
   outputs configs plaquettes (fit seed samples)
 
-let traced ~seed ~archive samples =
-  Spans.span "core.pipeline" (fun () ->
-      let configs, plaquettes =
-        Spans.span "stage.gauge" (fun () ->
-            chain ~seed
-              ~warm:(fun f -> Spans.span "lattice.warm_start" f)
-              ~sweep:(fun _ f ->
-                Spans.span "lattice.heatbath" (fun () ->
-                    Spans.count "sweeps" 1.;
-                    f ())))
-      in
-      Spans.span "stage.io" (fun () ->
-          Spans.span "qio.write" (fun () ->
-              write_archive archive configs;
-              Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size));
-          Spans.span "qio.read" (fun () ->
-              Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size);
-              reload_matches archive configs));
-      let ga =
-        Spans.span "stage.analysis" (fun () -> Spans.span "physics.fit" (fun () -> fit seed samples))
-      in
-      (configs, plaquettes, ga))
+(* Untraced reference runs: the median of their wall times is the base
+   of trace.overhead_frac. *)
+let reference_runs = 3
 
 let run_traced ~seed ~out_dir =
   let archive = Filename.concat out_dir (Printf.sprintf "ensemble-%d.nfh5" seed) in
   let samples = synthetic seed in
-  let ref_out, untraced_wall = Measure.time (fun () -> reference ~seed ~archive samples) in
-  Spans.reset ();
-  let (configs, plaquettes, ga), traced_wall =
-    Measure.time (fun () -> traced ~seed ~archive samples)
+  let refs =
+    List.init reference_runs (fun _ -> Measure.time (fun () -> reference ~seed ~archive samples))
   in
-  let out = outputs configs plaquettes ga and gauge = configs.(n_configs - 1) in
+  let ref_out = fst (List.hd refs) in
+  List.iter
+    (fun (o, _) ->
+      Measure.check (digest o = digest ref_out) "ensemble_io: the reference did not repeat bit for bit")
+    (List.tl refs);
+  Spans.reset ();
+  let (configs, out), traced_wall =
+    Measure.time (fun () ->
+        Spans.span "core.pipeline" (fun () -> pipeline ~seed ~archive samples Spans.wrap))
+  in
   Sys.remove archive;
   Measure.check (digest out = digest ref_out)
     "ensemble_io: traced run did not reproduce Heatbath.generate + fit bit for bit";
-  check_outputs out;
   if seed = default_seed then check_goldens out;
-  let geom = Gauge.geom gauge in
-  let fermion_gauge = Gauge.with_antiperiodic_time gauge in
+  let gauge = configs.(n_configs - 1) in
   let probes =
     Spans.span "bench.probes" (fun () ->
         let solver =
           Solver.Dwf_solve.create
             (Dirac.Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.1)
-            geom fermion_gauge
+            (Gauge.geom gauge) (Gauge.with_antiperiodic_time gauge)
         in
         let n = Dirac.Mobius.eo_field_length solver.Solver.Dwf_solve.eo in
         let schur = Probes.schur_normal ~reps:5 solver in
         let tail = Probes.cg_tail ~reps:10 n in
         let quant = Probes.quantize ~reps:10 n in
-        let hop = Probes.wilson_hop ~reps:5 fermion_gauge in
-        (* dd_halo's distributed solve on this configuration, so the
-           vrank/Comm layer is measured when dd_halo is not run *)
-        let st = Dd_halo.decompose gauge (Util.Rng.create seed) in
-        Dd_halo.last_totals := (0, 0);
-        let _, x, _ = Dd_halo.traced_solve st in
-        Dd_halo.check_comm st;
-        Dd_halo.check_against_single_domain st x;
-        let vhop, halo = Probes.vrank st.Dd_halo.dd ~reps:5 in
+        (* the vrank/Comm layer: a distributed solve on a fixed input,
+           so its counts are the same at every seed *)
+        let dd = Dd_halo.setup () in
+        let x = Dd_halo.traced_solve dd in
+        Dd_halo.check_against_single_domain dd x;
+        let hop = Probes.wilson_hop ~reps:5 dd.Dd_halo.gauge in
+        let vhop, halo = Probes.vrank dd.Dd_halo.dd ~reps:5 in
         { Layers.schur; tail; quant; hop; vhop; halo })
   in
-  Layers.metrics ~untraced_wall ~traced_wall probes
+  Layers.metrics ~untraced_wall:(Measure.median (List.map snd refs)) ~traced_wall probes

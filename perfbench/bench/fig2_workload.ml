@@ -1,8 +1,8 @@
-(* fig2_double / fig2_mixed: the paper's Fig 2 pipeline per gauge
-   configuration — Möbius domain-wall operator, 12 propagator columns
-   plus 12 Feynman–Hellmann solves, contractions, an H5lite archive
-   saved and reloaded, and the analysis — exactly as
-   [Core.Workflow.run] performs it, on a 4⁴ × L5=4 lattice.
+(* fig2_double: the paper's Fig 2 pipeline per gauge configuration —
+   Möbius domain-wall operator, 12 propagator columns plus 12
+   Feynman–Hellmann solves, contractions, an H5lite archive saved and
+   reloaded, and the analysis — exactly as [Core.Workflow.run] performs
+   it, on a 4⁴ × L5=4 lattice in double precision.
 
    Set-up is the workflow's "load/generate gluonic field" stage: the
    configuration [Core.Workflow.run] generates at its default seed,
@@ -14,11 +14,12 @@
    configuration per seed instead would move the iteration count by
    ±25% on this 4⁴ lattice and swamp any change under test.
 
-   A pass is the per-configuration measurement from that field, timed
-   step by step through the same public functions [Core.Workflow]
-   calls. The traced run runs [Core.Workflow.run] itself as the
-   untraced reference and proves the staged pipeline reproduces it bit
-   for bit on the untransformed configuration. *)
+   [measure] is the per-configuration measurement, call by call through
+   the public functions [Core.Workflow] uses. An untraced pass runs it
+   on the set-up's field with every call timed as a step; the traced
+   run runs it with every call in a span, after the workflow's own
+   gauge generation, and must reproduce [Core.Workflow.run] bit for
+   bit. *)
 
 module Workflow = Core.Workflow
 module Propagator = Physics.Propagator
@@ -26,24 +27,26 @@ module Source = Physics.Source
 module Dwf = Solver.Dwf_solve
 module H5 = Qio.H5lite
 
-type variant = Double | Mixed
-
 let default_seed = Workflow.default_spec.Workflow.seed
 
-let spec variant ~archive =
+let spec ~archive =
   {
     Workflow.default_spec with
     Workflow.dims = [| 4; 4; 4; 4 |];
     l5 = 4;
-    mass = (match variant with Double -> 0.1 | Mixed -> 0.02);
-    precision =
-      (match variant with Double -> Dwf.Double | Mixed -> Dwf.Mixed Solver.Mixed.default_config);
+    mass = 0.1;
+    precision = Dwf.Double;
     n_configs = 1;
     n_thermalize = 10;
     n_decorrelate = 4;
     seed = default_seed;
     io_path = Some archive;
   }
+
+(* The paper's production solve: Mixed double-half at mass 0.02. The
+   traced run solves one column with it on the workflow's
+   configuration, which measures the reliable updates. *)
+let mixed_spec s = { s with Workflow.mass = 0.02; precision = Dwf.Mixed Solver.Mixed.default_config }
 
 let schedule (s : Workflow.spec) =
   {
@@ -145,72 +148,7 @@ let reload_matches name archive (cs : float array list) =
       "%s: archive did not reload bit-equal" name
   | exception H5.Corrupt msg -> Measure.check false "%s: archive corrupt on reload: %s" name msg
 
-(* ---- untraced pass ---- *)
-
-type pass_result = {
-  pass : Measure.pass;
-  out : outputs;
-  prop : Propagator.t;
-  fh : Propagator.t;
-  solver : Dwf.t;
-}
-
-let pass (s : Workflow.spec) ~archive gauge () =
-  let precision = s.Workflow.precision and tol = s.Workflow.tol in
-  let r = Measure.recorder () in
-  let solver = Measure.step r "operator" (fun () -> build_solver s gauge) in
-  let geom = Dwf.geom_of solver in
-  (* The 12 columns go through [Propagator.compute] as
-     [Propagator.point_propagator] does; the source callback marks the
-     start of each column, so every column is its own step. *)
-  let marks = ref [] in
-  let t0 = Measure.now () in
-  let prop =
-    Propagator.compute ~precision ~tol solver ~source:(fun ~spin ~color ->
-        marks := Measure.now () :: !marks;
-        Source.point geom ~site:0 ~spin ~color)
-  in
-  let bounds =
-    Array.of_list
-      ((t0 :: List.tl (List.rev !marks)) @ [ Measure.now () ])
-  in
-  for c = 0 to Array.length bounds - 2 do
-    Measure.add_step r (Printf.sprintf "prop.col%02d" c) (bounds.(c + 1) -. bounds.(c))
-  done;
-  let fh = Measure.step r "fh" (fun () -> Physics.Fh.fh_propagator ~precision ~tol solver prop) in
-  let pion = Measure.step r "contract.pion" (fun () -> Physics.Contract.pion prop) in
-  let proton =
-    Measure.step r "contract.proton" (fun () -> Physics.Contract.proton ~up:prop ~down:prop ())
-  in
-  let proton_fh =
-    Measure.step r "contract.proton_fh" (fun () ->
-        Physics.Fh.fh_proton_correlator ~up:prop ~down:prop ~fh_up:fh ~fh_down:fh)
-  in
-  let plaquette = Measure.step r "plaquette" (fun () -> Lattice.Gauge.average_plaquette gauge) in
-  let cs = [ pion; proton; proton_fh ] in
-  Measure.step r "qio.write" (fun () -> write_archive archive cs);
-  Measure.step r "qio.read" (fun () -> reload_matches "fig2" archive cs);
-  let out = Measure.step r "analysis" (fun () -> analyse ~plaquette ~pion ~proton ~proton_fh) in
-  List.iteri
-    (fun c st -> Measure.check st.Solver.Cg.converged "fig2: propagator column %d did not converge" c)
-    prop.Propagator.stats;
-  check_outputs "fig2" out;
-  { pass = { Measure.steps = Measure.steps r; digest = digest out }; out; prop; fh; solver }
-
-(* ---- sampled true-residual checks ---- *)
-
-(* |D x − rhs|/|rhs| may exceed the CG tolerance, which bounds the
-   normal-equation residual of the even/odd system; this is the bound a
-   converged column must meet. *)
-let residual_bound (s : Workflow.spec) = 100. *. s.Workflow.tol
-
-let check_residual s name solver ~x ~rhs =
-  let res = Dwf.residual solver ~x ~rhs in
-  Printf.printf "%s: true residual %.3e\n" name res;
-  Measure.check
-    (Float.is_finite res && res <= residual_bound s)
-    "%s: true residual %.3e exceeds %.1e" name res (residual_bound s);
-  res
+(* ---- the pipeline ---- *)
 
 let fh_rhs solver column =
   let l5 = (Dwf.params_of solver).Dirac.Mobius.l5 in
@@ -222,38 +160,115 @@ let point_rhs solver c =
   let geom = Dwf.geom_of solver in
   Source.to_5d ~l5 geom (Source.point geom ~site:0 ~spin:(c / 3) ~color:(c mod 3))
 
+(* The propagator and FH columns whose true residual is checked,
+   chosen by the seed. *)
 let sampled_columns seed = (seed mod 12, (seed + 5) mod 12)
 
-(* Re-solve one propagator column and one FH column chosen by the
-   seed, check the true residual, and require the pipeline's column to
-   be that solve's bit for bit. *)
-let sampled_checks (s : Workflow.spec) ~seed (p : pass_result) =
+(* The per-configuration measurement on [gauge]: the Möbius operator,
+   the 12 point-source columns as [Propagator.point_propagator] solves
+   them, the 12 FH solves as [Fh.fh_propagator] does them, the
+   contractions, the archive write and CRC-checked reload, and the
+   analysis, every call wrapped by [w]. Every solve must converge.
+   Returns the outputs, the solver, the propagator and the
+   (name, column, x, rhs) of the [sampled] columns. *)
+let measure (s : Workflow.spec) ~archive ~sampled (w : Measure.wrap) gauge =
   let precision = s.Workflow.precision and tol = s.Workflow.tol in
-  let l5 = s.Workflow.l5 and geom = Dwf.geom_of p.solver in
-  let c_prop, c_fh = sampled_columns seed in
+  let solver =
+    w.stage "operator" (fun () -> w.step "dirac.operator_build" (fun () -> build_solver s gauge))
+  in
+  let geom = Dwf.geom_of solver and l5 = s.Workflow.l5 in
+  let c_prop, c_fh = sampled in
+  let samples = ref [] in
+  let solve name c ~sample rhs =
+    let column, st =
+      w.step "solver.solve" (fun () ->
+          let rhs = rhs () in
+          let x, st = Dwf.solve ~precision ~tol solver ~rhs in
+          Spans.count "iterations" (float_of_int st.Solver.Cg.iterations);
+          Spans.count "flops" st.Solver.Cg.flops;
+          Spans.count "reliable_updates" (float_of_int st.Solver.Cg.reliable_updates);
+          if sample then samples := (name, c, x, rhs) :: !samples;
+          (Source.to_4d ~l5 geom x, st))
+    in
+    Measure.check st.Solver.Cg.converged "fig2: %s column %d did not converge" name c;
+    (column, st)
+  in
+  let prop, fh =
+    w.stage "propagators" (fun () ->
+        let solved =
+          Array.init 12 (fun c ->
+              solve "propagator" c ~sample:(c = c_prop) (fun () -> point_rhs solver c))
+        in
+        let prop =
+          {
+            Propagator.geom;
+            columns = Array.map fst solved;
+            midpoint = None;
+            stats = Array.to_list (Array.map snd solved);
+          }
+        in
+        let fh_columns =
+          Array.mapi
+            (fun c column -> fst (solve "fh" c ~sample:(c = c_fh) (fun () -> fh_rhs solver column)))
+            prop.Propagator.columns
+        in
+        (prop, { prop with Propagator.columns = fh_columns }))
+  in
+  let pion, proton, proton_fh, plaquette =
+    w.stage "contractions" (fun () ->
+        let pion = w.step "physics.contract" (fun () -> Physics.Contract.pion prop) in
+        let proton =
+          w.step "physics.contract" (fun () -> Physics.Contract.proton ~up:prop ~down:prop ())
+        in
+        let proton_fh =
+          w.step "physics.contract" (fun () ->
+              Physics.Fh.fh_proton_correlator ~up:prop ~down:prop ~fh_up:fh ~fh_down:fh)
+        in
+        let plaquette =
+          w.step "lattice.plaquette" (fun () -> Lattice.Gauge.average_plaquette gauge)
+        in
+        (pion, proton, proton_fh, plaquette))
+  in
+  let cs = [ pion; proton; proton_fh ] in
+  w.stage "io" (fun () ->
+      w.step "qio.write" (fun () ->
+          write_archive archive cs;
+          Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size));
+      w.step "qio.read" (fun () ->
+          Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size);
+          reload_matches "fig2" archive cs));
+  let out =
+    w.stage "analysis" (fun () ->
+        w.step "physics.analysis" (fun () -> analyse ~plaquette ~pion ~proton ~proton_fh))
+  in
+  check_outputs "fig2" out;
+  (out, solver, prop, List.rev !samples)
+
+(* ---- checks ---- *)
+
+(* |D x − rhs|/|rhs| may exceed the CG tolerance, which bounds the
+   normal-equation residual of the even/odd system; this is the bound a
+   converged column must meet. *)
+let residual_bound (s : Workflow.spec) = 100. *. s.Workflow.tol
+
+let check_samples s solver samples =
   List.iter
-    (fun (name, c, rhs, (target : Propagator.t)) ->
-      let x, st = Dwf.solve ~precision ~tol p.solver ~rhs in
-      Measure.check st.Solver.Cg.converged "%s column %d did not converge" name c;
-      ignore (check_residual s (Printf.sprintf "%s column %d" name c) p.solver ~x ~rhs);
+    (fun (name, c, x, rhs) ->
+      let res = Dwf.residual solver ~x ~rhs in
+      Printf.printf "%s column %d: true residual %.3e\n" name c res;
       Measure.check
-        (Measure.digest_field (Source.to_4d ~l5 geom x)
-        = Measure.digest_field target.Propagator.columns.(c))
-        "%s column %d differs from the pipeline's" name c)
-    [
-      ("propagator", c_prop, point_rhs p.solver c_prop, p.prop);
-      ("fh", c_fh, fh_rhs p.solver p.prop.Propagator.columns.(c_fh), p.fh);
-    ]
+        (Float.is_finite res && res <= residual_bound s)
+        "%s column %d: true residual %.3e exceeds %.1e" name c res (residual_bound s))
+    samples
 
 let print_outputs o =
   let row a = String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.17g") a)) in
   Printf.printf "plaquette: %.17g\npion: [| %s |]\nm_eff: [| %s |]\ng_eff: [| %s |]\n"
     o.plaquette (row o.pion) (row o.m_eff) (row o.geff)
 
-(* ---- goldens ---- *)
-
-let check_goldens variant (o : outputs) =
-  let g = match variant with Double -> Goldens.fig2_double | Mixed -> Goldens.fig2_mixed in
+(* The outputs are gauge invariant, so the goldens hold at every seed. *)
+let check_goldens (o : outputs) =
+  let g = Goldens.fig2 in
   let close ~tol name a b =
     Measure.check
       (Array.length a = Array.length b
@@ -267,121 +282,33 @@ let check_goldens variant (o : outputs) =
 
 (* ---- the untraced run ---- *)
 
-let run_untraced variant ~seed ~seconds ~out_dir =
+let run_untraced ~seed ~seconds ~out_dir =
   let archive = Filename.concat out_dir (Printf.sprintf "fig2-%d.nfh5" seed) in
-  let s = spec variant ~archive in
-  let setups =
-    Measure.setups 3 (fun () -> gauge_transform ~seed (generate s))
-  in
-  let gauge = fst (List.hd setups) in
-  List.iter
-    (fun (g, _) ->
-      Measure.check
-        (Measure.digest_field (Lattice.Gauge.data g)
-        = Measure.digest_field (Lattice.Gauge.data gauge))
-        "fig2: set-up did not regenerate the same gauge field")
-    setups;
+  let s = spec ~archive in
+  let gauge_digest g = Measure.digest_field (Lattice.Gauge.data g) in
   let last = ref None in
-  let passes =
-    Measure.run_passes ~seconds (fun () ->
-        let p = pass s ~archive gauge () in
-        last := Some p;
-        p.pass)
+  let run =
+    Measure.run ~seconds ~per_core:1
+      ~same:(fun a b -> gauge_digest a = gauge_digest b)
+      (fun () -> gauge_transform ~seed (generate s))
+      (fun gauge ->
+        let r = Measure.recorder () in
+        let out, solver, prop, samples =
+          measure s ~archive ~sampled:(sampled_columns seed) (Measure.timed r) gauge
+        in
+        last := Some (out, solver, prop, samples);
+        { Measure.steps = Measure.steps r; digest = digest out })
   in
-  Measure.check_passes_identical "fig2" passes;
-  let last = Option.get !last in
-  print_outputs last.out;
-  Printf.printf "propagator CG iterations: %d\n" (Propagator.total_iterations last.prop);
-  sampled_checks s ~seed last;
-  check_goldens variant last.out;
+  Measure.check_passes_identical "fig2" run.Measure.passes;
+  let out, solver, prop, samples = Option.get !last in
+  print_outputs out;
+  Printf.printf "propagator CG iterations: %d\n" (Propagator.total_iterations prop);
+  check_samples s solver samples;
+  check_goldens out;
   Sys.remove archive;
-  (passes, List.map snd setups)
+  run
 
 (* ---- the traced run ---- *)
-
-let solve_span (s : Workflow.spec) solver ~rhs =
-  Spans.span "solver.solve" (fun () ->
-      let x, st = Dwf.solve ~precision:s.Workflow.precision ~tol:s.Workflow.tol solver ~rhs in
-      Spans.count "iterations" (float_of_int st.Solver.Cg.iterations);
-      Spans.count "flops" st.Solver.Cg.flops;
-      Spans.count "reliable_updates" (float_of_int st.Solver.Cg.reliable_updates);
-      Spans.count "converged" (if st.Solver.Cg.converged then 1. else 0.);
-      (x, st))
-
-(* The same pipeline, driven call by call through the layers' public
-   functions with a span around each: [Core.Workflow]'s gauge
-   generation, then the per-configuration measurement. Returns the
-   outputs and the sampled (x, rhs) pairs for the residual checks. *)
-let traced_pipeline (s : Workflow.spec) ~seed ~archive =
-  Spans.span "core.pipeline" (fun () ->
-      let gauge =
-        Spans.span "stage.gauge" (fun () ->
-            Spans.span "lattice.heatbath" (fun () ->
-                Spans.count "sweeps" (float_of_int (n_sweeps s));
-                generate s))
-      in
-      let solver =
-        Spans.span "stage.operator" (fun () ->
-            Spans.span "dirac.operator_build" (fun () -> build_solver s gauge))
-      in
-      let geom = Dwf.geom_of solver and l5 = s.Workflow.l5 in
-      let c_prop, c_fh = sampled_columns seed in
-      let samples = ref [] in
-      let prop, fh =
-        Spans.span "stage.propagators" (fun () ->
-            let stats = ref [] in
-            let columns =
-              Array.init 12 (fun c ->
-                  let rhs = point_rhs solver c in
-                  let x, st = solve_span s solver ~rhs in
-                  stats := st :: !stats;
-                  if c = c_prop then samples := ("propagator", x, rhs) :: !samples;
-                  Source.to_4d ~l5 geom x)
-            in
-            let prop =
-              { Propagator.geom; columns; midpoint = None; stats = List.rev !stats }
-            in
-            let fh_columns =
-              Array.mapi
-                (fun c column ->
-                  let rhs = fh_rhs solver column in
-                  let x, _ = solve_span s solver ~rhs in
-                  if c = c_fh then samples := ("fh", x, rhs) :: !samples;
-                  Source.to_4d ~l5 geom x)
-                columns
-            in
-            (prop, { prop with Propagator.columns = fh_columns; midpoint = None }))
-      in
-      let pion, proton, proton_fh, plaquette =
-        Spans.span "stage.contractions" (fun () ->
-            let pion = Spans.span "physics.contract" (fun () -> Physics.Contract.pion prop) in
-            let proton =
-              Spans.span "physics.contract" (fun () ->
-                  Physics.Contract.proton ~up:prop ~down:prop ())
-            in
-            let proton_fh =
-              Spans.span "physics.contract" (fun () ->
-                  Physics.Fh.fh_proton_correlator ~up:prop ~down:prop ~fh_up:fh ~fh_down:fh)
-            in
-            let plaquette =
-              Spans.span "lattice.plaquette" (fun () -> Lattice.Gauge.average_plaquette gauge)
-            in
-            (pion, proton, proton_fh, plaquette))
-      in
-      let cs = [ pion; proton; proton_fh ] in
-      Spans.span "stage.io" (fun () ->
-          Spans.span "qio.write" (fun () ->
-              write_archive archive cs;
-              Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size));
-          Spans.span "qio.read" (fun () ->
-              Spans.count "file_bytes" (float_of_int (Unix.stat archive).Unix.st_size);
-              reload_matches "fig2 traced" archive cs));
-      let out =
-        Spans.span "stage.analysis" (fun () ->
-            Spans.span "physics.analysis" (fun () ->
-                analyse ~plaquette ~pion ~proton ~proton_fh))
-      in
-      (out, solver, gauge, List.rev !samples))
 
 (* [Core.Workflow.run] itself plus the archive reload: the untraced
    reference the traced pipeline must reproduce. *)
@@ -398,41 +325,52 @@ let workflow_reference (s : Workflow.spec) ~archive =
     "fig2: the workflow's own analysis differs from the benchmark's";
   o
 
-let run_traced variant ~seed ~out_dir =
+(* Untraced reference runs: the median of their wall times is the base
+   of trace.overhead_frac. *)
+let reference_runs = 3
+
+let run_traced ~seed ~out_dir =
   let archive = Filename.concat out_dir (Printf.sprintf "fig2-%d.nfh5" seed) in
-  let s = spec variant ~archive in
-  let reference, untraced_wall = Measure.time (fun () -> workflow_reference s ~archive) in
+  let s = spec ~archive in
+  let refs =
+    List.init reference_runs (fun _ -> Measure.time (fun () -> workflow_reference s ~archive))
+  in
+  let reference = fst (List.hd refs) in
+  List.iter
+    (fun (o, _) ->
+      Measure.check (digest o = digest reference) "fig2: Core.Workflow.run did not repeat bit for bit")
+    (List.tl refs);
   Spans.reset ();
   let (out, solver, gauge, samples), traced_wall =
-    Measure.time (fun () -> traced_pipeline s ~seed ~archive)
+    Measure.time (fun () ->
+        Spans.span "core.pipeline" (fun () ->
+            let gauge =
+              Spans.wrap.Measure.stage "gauge" (fun () ->
+                  Spans.span "lattice.heatbath" (fun () ->
+                      Spans.count "sweeps" (float_of_int (n_sweeps s));
+                      generate s))
+            in
+            let out, solver, _, samples =
+              measure s ~archive ~sampled:(sampled_columns seed) Spans.wrap gauge
+            in
+            (out, solver, gauge, samples)))
   in
   Sys.remove archive;
   Measure.check (digest out = digest reference)
     "fig2: traced run did not reproduce Core.Workflow.run bit for bit";
-  check_outputs "fig2 traced" out;
-  List.iter
-    (fun sp ->
-      Measure.check (Spans.counter sp "converged" = 1.) "fig2: a traced solve did not converge")
-    (Spans.named "solver.solve");
-  List.iter
-    (fun (name, x, rhs) -> ignore (check_residual s (name ^ " sampled column") solver ~x ~rhs))
-    samples;
-  check_goldens variant out;
-  (* fig2_double's trace also runs one column of fig2_mixed's solve
-     (Mixed double-half at mass 0.02 on the same configuration), so the
-     reliable-update count is measured when fig2_mixed is not run. *)
-  if variant = Double then
-    Spans.span "bench.mixed_probe" (fun () ->
-        let s_mixed = spec Mixed ~archive in
-        let solver = build_solver s_mixed gauge in
-        Spans.span "solver.mixed_solve" (fun () ->
-            let _, st =
-              Dwf.solve ~precision:s_mixed.Workflow.precision ~tol:s_mixed.Workflow.tol solver
-                ~rhs:(point_rhs solver 0)
-            in
-            Measure.check st.Solver.Cg.converged "fig2: mixed probe solve did not converge";
-            Spans.count "iterations" (float_of_int st.Solver.Cg.iterations);
-            Spans.count "reliable_updates" (float_of_int st.Solver.Cg.reliable_updates)));
+  check_samples s solver samples;
+  check_goldens out;
+  Spans.span "bench.mixed_probe" (fun () ->
+      let s_mixed = mixed_spec s in
+      let solver = build_solver s_mixed gauge in
+      Spans.span "solver.mixed_solve" (fun () ->
+          let _, st =
+            Dwf.solve ~precision:s_mixed.Workflow.precision ~tol:s_mixed.Workflow.tol solver
+              ~rhs:(point_rhs solver 0)
+          in
+          Measure.check st.Solver.Cg.converged "fig2: mixed probe solve did not converge";
+          Spans.count "iterations" (float_of_int st.Solver.Cg.iterations);
+          Spans.count "reliable_updates" (float_of_int st.Solver.Cg.reliable_updates)));
   let n = Dirac.Mobius.eo_field_length solver.Dwf.eo in
   let fermion_gauge = Lattice.Gauge.with_antiperiodic_time gauge in
   let probes =
@@ -449,4 +387,4 @@ let run_traced variant ~seed ~out_dir =
         let vhop, halo = Probes.vrank dd ~reps:20 in
         { Layers.schur; tail; quant; hop; vhop; halo })
   in
-  Layers.metrics ~untraced_wall ~traced_wall probes
+  Layers.metrics ~untraced_wall:(Measure.median (List.map snd refs)) ~traced_wall probes

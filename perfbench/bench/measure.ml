@@ -35,8 +35,19 @@ let step r name f =
   r.rev <- (name, dt) :: r.rev;
   v
 
-let add_step r name dt = r.rev <- (name, dt) :: r.rev
 let steps r = List.rev r.rev
+
+(* How a pipeline wraps its calls: [stage] around a group of calls,
+   [step] around one call into a layer (named "<layer>.<what>"). An
+   untraced pass times each step ([timed]); the traced run records
+   both as spans ([Spans.wrap]). One pipeline function serves both, so
+   the traced run drives the same calls as the timed passes. *)
+type wrap = {
+  stage : 'a. string -> (unit -> 'a) -> 'a;
+  step : 'a. string -> (unit -> 'a) -> 'a;
+}
+
+let timed r = { stage = (fun _ f -> f ()); step = (fun name f -> step r name f) }
 
 external allowed_cores : unit -> int array = "perfbench_allowed_cores"
 external pin_core : int -> int = "perfbench_pin_core"
@@ -70,10 +81,12 @@ let first_pass_rss_mb = ref nan
 
 (* Run [pass] until the next pass would end after [seconds] (measured
    from the first pass start), at least [min_passes] and at most
-   [max_passes] times, pass [n] on core [n] (round robin). *)
-let run_passes ?(min_passes = 2) ?(max_passes = 64) ~seconds pass =
+   [max_passes] times, pass [n] on core [n] (round robin). [before n]
+   runs ahead of pass [n], outside its timing. *)
+let run_passes ?(min_passes = 2) ?(max_passes = 64) ?(before = ignore) ~seconds pass =
   let t0 = now () in
   let rec loop acc n =
+    before n;
     let p = on_core n pass in
     if n = 0 then first_pass_rss_mb := peak_rss_mb ();
     let acc = p :: acc and n = n + 1 in
@@ -139,8 +152,27 @@ let digest_field (f : Linalg.Field.t) =
   done;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* [n] timed set-ups, taking turns on the cores like the passes. *)
-let setups n f = List.init n (fun i -> on_core i (fun () -> time f))
+type run = { passes : pass list; setup_times : float list }
+
+(* A workload's untraced run. The set-up runs once for the passes'
+   input, then again [per_core] times on every allowed core ahead of
+   each pass, so the set-ups sample the run's whole time span on both
+   cores like the steps of the passes do. [same a b] tells whether two
+   set-ups produced the same inputs; every set-up must reproduce the
+   first. [setup_times] are all the set-ups' times; setup_s is the
+   fastest, for the reason wall_s sums fastest steps. *)
+let run ~seconds ~per_core ~same setup pass =
+  let input, t0 = on_core 0 (fun () -> time setup) in
+  let times = ref [ t0 ] in
+  let round _ =
+    for i = 1 to per_core * Array.length (Lazy.force cores) do
+      let v, t = on_core i (fun () -> time setup) in
+      check (same v input) "set-up did not reproduce the first set-up";
+      times := t :: !times
+    done
+  in
+  let passes = run_passes ~seconds ~before:round (fun () -> pass input) in
+  { passes; setup_times = List.rev !times }
 
 (* Every pass must reproduce the first pass's outputs bit for bit. *)
 let check_passes_identical name (passes : pass list) =

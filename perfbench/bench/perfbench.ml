@@ -8,7 +8,7 @@
    standard output is the JSON result. Everything runs in this one
    thread on the serial pool. *)
 
-let workloads = [ "fig2_double"; "fig2_mixed"; "ensemble_io"; "dd_halo" ]
+let workloads = [ "fig2_double"; "ensemble_io" ]
 
 let usage () =
   prerr_endline
@@ -38,37 +38,37 @@ let rec mkdir_p d =
     Sys.mkdir d 0o755
   end
 
-let print_passes (passes : Measure.pass list) setups =
-  Printf.printf "passes: %d  (step sums: %s s)\n" (List.length passes)
+let print_run (run : Measure.run) =
+  Printf.printf "passes: %d  (step sums: %s s)\n" (List.length run.Measure.passes)
     (String.concat " "
        (List.map
           (fun p -> Printf.sprintf "%.3f" (List.fold_left (fun a (_, t) -> a +. t) 0. p.Measure.steps))
-          passes));
-  Printf.printf "set-ups: %s s\n" (String.concat " " (List.map (Printf.sprintf "%.3f") setups))
+          run.Measure.passes));
+  Printf.printf "set-ups: %s s\n"
+    (String.concat " " (List.map (Printf.sprintf "%.4f") run.Measure.setup_times))
 
 let untraced workload ~seed ~seconds ~out =
-  let passes, setups =
-    match workload with
-    | "fig2_double" -> Fig2_workload.run_untraced Double ~seed ~seconds ~out_dir:out
-    | "fig2_mixed" -> Fig2_workload.run_untraced Mixed ~seed ~seconds ~out_dir:out
-    | "ensemble_io" -> Ensemble_io.run_untraced ~seed ~seconds ~out_dir:out
-    | _ -> Dd_halo.run_untraced ~seed ~seconds
+  let report run =
+    print_run run;
+    (Measure.quiet_sum run.Measure.passes, List.fold_left Float.min infinity run.Measure.setup_times)
   in
-  print_passes passes setups;
+  let wall, setup =
+    match workload with
+    | "fig2_double" -> report (Fig2_workload.run_untraced ~seed ~seconds ~out_dir:out)
+    | _ -> report (Ensemble_io.run_untraced ~seed ~seconds ~out_dir:out)
+  in
   Printf.printf "host.ref_ms: %.4f\n" (Measure.host_ref_ms ());
   [
-    Measure.metric "wall_s" "s" (Measure.quiet_sum passes);
-    Measure.metric "setup_s" "s" (Measure.median setups);
+    Measure.metric "wall_s" "s" wall;
+    Measure.metric "setup_s" "s" setup;
     Measure.metric "peak_rss_mb" "MB" !Measure.first_pass_rss_mb;
   ]
 
 let traced workload ~seed ~out =
   let layer_metrics =
     match workload with
-    | "fig2_double" -> Fig2_workload.run_traced Double ~seed ~out_dir:out
-    | "fig2_mixed" -> Fig2_workload.run_traced Mixed ~seed ~out_dir:out
-    | "ensemble_io" -> Ensemble_io.run_traced ~seed ~out_dir:out
-    | _ -> Dd_halo.run_traced ~seed
+    | "fig2_double" -> Fig2_workload.run_traced ~seed ~out_dir:out
+    | _ -> Ensemble_io.run_traced ~seed ~out_dir:out
   in
   let host_ref = Measure.host_ref_ms () in
   let base = Filename.concat out (Printf.sprintf "%s-seed%d" workload seed) in

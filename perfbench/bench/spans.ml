@@ -56,11 +56,14 @@ let span name f =
   in
   Fun.protect ~finally:finish f
 
-(* Attach a counter to the innermost open span. *)
+(* Attach a counter to the innermost open span. Outside the traced run
+   no span is open and the count is dropped, so a pipeline shared with
+   the untraced passes can report its counts unconditionally. *)
 let count key v =
-  match !open_ with
-  | [] -> invalid_arg "Spans.count: no open span"
-  | s :: _ -> s.counters <- (key, v) :: s.counters
+  match !open_ with [] -> () | s :: _ -> s.counters <- (key, v) :: s.counters
+
+(* The traced run's wrapper: every stage and step becomes a span. *)
+let wrap = { Measure.stage = (fun name f -> span ("stage." ^ name) f); step = span }
 
 let all () = List.sort (fun a b -> compare a.id b.id) !recorded
 let duration s = s.stop -. s.start

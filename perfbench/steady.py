@@ -38,7 +38,13 @@ def run_once(workload, seed, seconds):
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise RuntimeError(f"{workload} seed {seed}: exit {out.returncode}\n{out.stderr}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    # the host reference each untraced run prints, to tell host drift
+    # from a change in the program
+    for line in lines:
+        if line.startswith("host.ref_ms:"):
+            result["host_ref_ms"] = float(line.split()[1])
+    return result
 
 
 def spread(values):
@@ -70,7 +76,8 @@ def main():
                     ok = False
                     print(f"FAILED RUN: {w} seed {seed} set {s}: {r}", flush=True)
                 vals = " ".join(f"{k}={v['value']:.4g}" for k, v in r["metrics"].items())
-                print(f"{w:12s} seed {seed:3d} set {s}: {vals}", flush=True)
+                host = r.get("host_ref_ms", float("nan"))
+                print(f"{w:12s} seed {seed:3d} set {s}: {vals} host.ref_ms={host:.3f}", flush=True)
     print()
     for w in workloads:
         for m in bench["end_to_end"]:
@@ -81,7 +88,7 @@ def main():
                 vals = [r["metrics"][name]["value"] for r in results[w][s]]
                 meds[s] = statistics.median(vals)
                 sp = spread(vals) if len(vals) >= 2 else 0.0
-                flag = "" if name == "setup_s" or sp <= bound else " SPREAD>BOUND"
+                flag = "" if sp <= bound else " SPREAD>BOUND"
                 if flag:
                     ok = False
                 cells.append(f"{s}: median {meds[s]:.4g} spread {sp:.3f}{flag}")
