@@ -194,16 +194,16 @@ let run ?(out = "BENCH_kernels.json") () =
       | d :: _ -> Some (Check.Diagnostic.to_string d)
     in
     let winner, plan = Autotune.Variants.tune_fusion ~lint tuner ~n in
-    let baseline =
-      { Autotune.Variants.mode = Linalg.Fused.Unfused; geometry = None }
-    in
     let t_base =
       time_ns (fun () ->
-          ignore (Autotune.Variants.run_fusion_plan baseline ~p ~ap ~x ~r : float))
+          ignore
+            (Autotune.Variants.run_cg_tail Autotune.Variants.baseline ~p ~ap ~x
+               ~r
+              : float))
     in
     let t_winner =
       time_ns (fun () ->
-          ignore (Autotune.Variants.run_fusion_plan plan ~p ~ap ~x ~r : float))
+          ignore (Autotune.Variants.run_cg_tail plan ~p ~ap ~x ~r : float))
     in
     [
       {

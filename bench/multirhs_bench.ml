@@ -37,15 +37,8 @@ let run ?(out = "BENCH_kernels.json") () =
   let srcs = Array.init kmax (fun i -> mk nf (40 + i)) in
   let dsts = Array.init kmax (fun _ -> Field.create nf) in
   (* serial hop at each width: KMAX RHS as KMAX/k width-k batches *)
-  let serial = Pool.shared ~domains:1 in
   let hop_at_width k () =
-    let off = ref 0 in
-    while !off < kmax do
-      Wilson.hop_multi_with serial w
-        ~srcs:(Array.sub srcs !off k)
-        ~dsts:(Array.sub dsts !off k);
-      off := !off + k
-    done
+    Autotune.Variants.(run_hop_batch { baseline with k }) w ~srcs ~dsts
   in
   let widths = [ 1; 2; 4; 8 ] in
   let t1 = time_ns (hop_at_width 1) in
@@ -132,22 +125,12 @@ let run ?(out = "BENCH_kernels.json") () =
   let tuned_rows =
     let tuner = Autotune.Tuner.create () in
     let winner, plan =
-      Autotune.Variants.tune_hop_multi tuner w ~srcs ~dsts ~signature:"bench"
+      Autotune.Variants.tune_hop_recon ~codecs:[ Linalg.Su3_codec.Full18 ]
+        tuner geom gauge ~srcs ~dsts ~signature:"bench"
     in
-    let run_plan () =
-      let k = plan.Autotune.Variants.k in
-      let off = ref 0 in
-      while !off < kmax do
-        let ss = Array.sub srcs !off k and ds = Array.sub dsts !off k in
-        (match plan.Autotune.Variants.geometry with
-        | None -> Wilson.hop_multi_with serial w ~srcs:ss ~dsts:ds
-        | Some (d, c) ->
-          Wilson.hop_multi_with (Pool.shared ~domains:d) ~chunk:c w ~srcs:ss
-            ~dsts:ds);
-        off := !off + k
-      done
+    let t_winner =
+      time_ns (fun () -> Autotune.Variants.run_hop_batch plan w ~srcs ~dsts)
     in
-    let t_winner = time_ns run_plan in
     [
       {
         kernel = "wilson_hop_multi_tuned";

@@ -40,18 +40,12 @@ let run ?(out = "BENCH_kernels.json") () =
   let nf = vol * Wilson.floats_per_site in
   let srcs = Array.init kmax (fun i -> mk nf (60 + i)) in
   let dsts = Array.init kmax (fun _ -> Field.create nf) in
-  let serial = Pool.shared ~domains:1 in
   (* one operator per codec, same geometry and gauge: each owns its
      packed store, the stencil tables are identical *)
   let ops = List.map (fun c -> (c, Wilson.of_geometry ~recon:c geom gauge)) Codec.all in
   let hop_with w () =
-    let off = ref 0 in
-    while !off < kmax do
-      Wilson.hop_multi_with serial w
-        ~srcs:(Array.sub srcs !off kbench)
-        ~dsts:(Array.sub dsts !off kbench);
-      off := !off + kbench
-    done
+    Autotune.Variants.(run_hop_batch { baseline with k = kbench }) w ~srcs
+      ~dsts
   in
   let t_full = time_ns (hop_with (List.assoc Codec.Full18 ops)) in
   let hop_rows =
@@ -106,20 +100,9 @@ let run ?(out = "BENCH_kernels.json") () =
         ~signature:"bench"
     in
     let w = List.assoc plan.Autotune.Variants.recon ops in
-    let run_plan () =
-      let k = plan.Autotune.Variants.rk in
-      let off = ref 0 in
-      while !off < kmax do
-        let ss = Array.sub srcs !off k and ds = Array.sub dsts !off k in
-        (match plan.Autotune.Variants.rgeometry with
-        | None -> Wilson.hop_multi_with serial w ~srcs:ss ~dsts:ds
-        | Some (d, c) ->
-          Wilson.hop_multi_with (Pool.shared ~domains:d) ~chunk:c w ~srcs:ss
-            ~dsts:ds);
-        off := !off + k
-      done
+    let t_winner =
+      time_ns (fun () -> Autotune.Variants.run_hop_batch plan w ~srcs ~dsts)
     in
-    let t_winner = time_ns run_plan in
     [
       {
         kernel = "wilson_hop_recon_tuned";

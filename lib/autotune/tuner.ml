@@ -104,25 +104,47 @@ let save t path =
             e.winner e.time_s e.candidates_tried e.tuned_at)
         t.cache)
 
+type load_error = { path : string; line : int; reason : string }
+
+let load_error_to_string e = Printf.sprintf "%s:%d: %s" e.path e.line e.reason
+
+(* Parse the whole file before touching the cache: a malformed line —
+   wrong field count or a non-numeric number — is a typed error naming
+   the file, the line and the reason, and leaves the cache as it was
+   (no half-loaded tunecache). *)
 let load t path =
   let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      try
-        while true do
-          let line = input_line ic in
-          match String.split_on_char '\t' line with
-          | [ kernel; signature; winner; time_s; tried; tuned_at ] ->
-            Hashtbl.replace t.cache (kernel, signature)
-              {
-                kernel;
-                signature;
-                winner;
-                time_s = float_of_string time_s;
-                candidates_tried = int_of_string tried;
-                tuned_at = float_of_string tuned_at;
-              }
-          | _ -> ()
-        done
-      with End_of_file -> ())
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> In_channel.input_all ic)
+    |> String.split_on_char '\n'
+  in
+  let parse lineno line =
+    let number what conv s =
+      Option.to_result ~none:(Printf.sprintf "%s %S is not a number" what s) (conv s)
+    in
+    let ( let* ) = Result.bind in
+    Result.map_error
+      (fun reason -> { path; line = lineno; reason })
+      (match String.split_on_char '\t' line with
+      | [ kernel; signature; winner; time_s; tried; tuned_at ] ->
+        let* time_s = number "time_s" float_of_string_opt time_s in
+        let* candidates_tried = number "candidates_tried" int_of_string_opt tried in
+        let* tuned_at = number "tuned_at" float_of_string_opt tuned_at in
+        Ok { kernel; signature; winner; time_s; candidates_tried; tuned_at }
+      | fields ->
+        Error
+          (Printf.sprintf "expected 6 tab-separated fields, found %d"
+             (List.length fields)))
+  in
+  let rec go lineno acc = function
+    | [] | [ "" ] -> Ok (List.rev acc)
+    | line :: rest -> (
+      match parse lineno line with
+      | Ok e -> go (lineno + 1) (e :: acc) rest
+      | Error e -> Error e)
+  in
+  Result.map
+    (List.iter (fun e -> Hashtbl.replace t.cache (e.kernel, e.signature) e))
+    (go 1 [] lines)

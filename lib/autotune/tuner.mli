@@ -43,4 +43,14 @@ val hit_count : t -> int
 val save : t -> string -> unit
 (** Persist the cache (QUDA's tunecache file). *)
 
-val load : t -> string -> unit
+type load_error = { path : string; line : int; reason : string }
+(** A malformed tunecache line: wrong field count or a non-numeric
+    number. [line] is 1-based. *)
+
+val load_error_to_string : load_error -> string
+(** ["path:line: reason"]. *)
+
+val load : t -> string -> (unit, load_error) result
+(** Restore a cache written by {!save}. The whole file is parsed
+    first: on a malformed line nothing is loaded.
+    @raise Sys_error if the file cannot be read. *)

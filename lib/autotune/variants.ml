@@ -2,9 +2,10 @@
    autotuner has genuine knobs to search — the analogue of CUDA block
    size / grid shape for this implementation:
 
-   - BLAS-1 kernels: manual unroll depth.
-   - Wilson stencil: site-traversal tile size (temporal blocking of
-     the site loop changes the cache behaviour of neighbour reads).
+   - BLAS-1 axpy: manual unroll depth.
+   - Every other kernel: one [plan] record (fusion mode, gauge codec,
+     batch width, deflation rank, pool geometry) searched by one
+     driver.
 
    Each variant is a drop-in replacement verified identical by the
    test suite; only speed differs. *)
@@ -56,47 +57,6 @@ let axpy_unroll8 alpha (x : Field.t) (y : Field.t) =
 let axpy_variants : (string * (float -> Field.t -> Field.t -> unit)) list =
   [ ("plain", axpy_plain); ("unroll4", axpy_unroll4); ("unroll8", axpy_unroll8) ]
 
-(* ---- stencil traversal variants ---- *)
-
-(* Site orderings for the Wilson hop: natural lexicographic, or tiles
-   of [tile] consecutive sites interleaved across the volume (a poor
-   man's launch-geometry knob). *)
-let site_order_natural n = Array.init n Fun.id
-
-let site_order_tiled ~tile n =
-  let out = Array.make n 0 in
-  let idx = ref 0 in
-  let n_tiles = (n + tile - 1) / tile in
-  for t = 0 to n_tiles - 1 do
-    let lo = t * tile in
-    let hi = min n (lo + tile) in
-    for s = lo to hi - 1 do
-      out.(!idx) <- s;
-      incr idx
-    done
-  done;
-  out
-
-let site_order_strided ~stride n =
-  let out = Array.make n 0 in
-  let idx = ref 0 in
-  for r = 0 to stride - 1 do
-    let s = ref r in
-    while !s < n do
-      out.(!idx) <- !s;
-      incr idx;
-      s := !s + stride
-    done
-  done;
-  out
-
-let hop_orders n =
-  [
-    ("natural", site_order_natural n);
-    ("tile256", site_order_tiled ~tile:256 n);
-    ("tile1024", site_order_tiled ~tile:1024 n);
-    ("stride2", site_order_strided ~stride:2 n);
-  ]
 
 (* ---- pool launch geometries ----
    The multicore launch axis: (ndomains, chunk) pairs, the laptop
@@ -107,12 +67,13 @@ let hop_orders n =
    floored so tiny problems do not degenerate to per-element dispatch.
    Pooled candidates draw their pool from [Util.Pool.shared], so a
    tuning sweep spawns each width once. *)
+let domain_cap max_domains =
+  min
+    (Option.value max_domains ~default:(Domain.recommended_domain_count ()))
+    Util.Pool.max_domains
+
 let pool_geometries ?max_domains ?(chunk_floor = 1024) ~n () =
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
+  let dmax = domain_cap max_domains in
   let rec widths d acc = if d > dmax then List.rev acc else widths (d * 2) (d :: acc) in
   List.concat_map
     (fun d ->
@@ -126,147 +87,131 @@ let pool_geometries ?max_domains ?(chunk_floor = 1024) ~n () =
 
 let geom_label prefix (d, c) = Printf.sprintf "%s_d%d_c%d" prefix d c
 
-(* Execution plan a hop tuning run settles on: a serial traversal
-   order, or a pooled site-partitioned launch. *)
-type hop_plan =
-  | Serial_order of int array
-  | Pooled of { domains : int; chunk : int }
+(* ---- the one tuned plan ----
+   Every launch axis the kernels expose, in one record: the BLAS-1
+   tail's fusion mode, the gauge-link codec, the batch width, the
+   deflation rank and the pool geometry. A kernel's candidate space
+   varies the axes it has and leaves the rest at the baseline, which
+   is always in the space — the tuner can refuse every "optimisation"
+   (tuner honesty), and bench rows get an honest 1.0 denominator.
 
-(* Tune the hop traversal for a kernel on a concrete field pair,
-   returning the winning label and its execution plan. The caller's
-   [signature] is extended with the site count and the domain cap so a
-   winner tuned for one problem shape or machine width can never be
-   served for another. *)
-let tune_hop ?max_domains tuner (w : Dirac.Wilson.t) ~(src : Field.t)
-    ~(dst : Field.t) ~signature =
-  let n = Field.length dst / Dirac.Wilson.floats_per_site in
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let plans =
-    List.map (fun (label, sites) -> (label, Serial_order sites)) (hop_orders n)
-    @ List.map
-        (fun (d, c) -> (geom_label "pool" (d, c), Pooled { domains = d; chunk = c }))
-        (pool_geometries ~max_domains:dmax ~chunk_floor:16 ~n ())
-  in
-  let run = function
-    | Serial_order sites -> Dirac.Wilson.hop_sites w ~sites ~src ~dst ()
-    | Pooled { domains; chunk } ->
-      Dirac.Wilson.hop_with (Util.Pool.shared ~domains) ~chunk w ~src ~dst
-  in
-  let signature = Printf.sprintf "%s:n%d:dmax%d" signature n dmax in
-  let winner =
-    Tuner.tune tuner ~kernel:"wilson_hop" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         plans)
-  in
-  (winner, List.assoc winner plans)
+   The label names every axis, so it is injective: a cached winner
+   names its whole plan and can never alias across any axis, and
+   Check.Plan_check rule PLAN007 audits an executed plan against the
+   tuned one axis by axis. *)
 
-(* ---- fusion axis ----
-   The second launch dimension of the BLAS-1 tail: the Fused.mode
-   (unfused / fused separate-dot / tail-fused), crossed with the pool
-   geometries. A fusion plan is what the tuner settles on for the
-   whole CG vector tail of one iteration; [run_fusion_plan] executes
-   exactly the tail each mode's solve runs — including the p·Ap dot
-   where the mode pays for it as a tail sweep (Unfused and Fused; in
-   Tail_fused it rides the stencil, so the tail is just cg_update +
-   xpay_dot) — so candidates are priced on the traffic that matters.
-   The serial-unfused baseline is always in the space — the tuner can
-   refuse every "optimisation" (see the tuner-honesty regression
-   test), and bench rows get an honest 1.0 denominator. *)
-
-type fusion_plan = {
+type plan = {
   mode : Linalg.Fused.mode;
+  recon : Linalg.Su3_codec.codec;
+  k : int;
+  rank : int;
   geometry : (int * int) option;
 }
 
-let fusion_label (plan : fusion_plan) =
-  let prefix = Linalg.Fused.mode_name plan.mode in
-  match plan.geometry with
+let baseline =
+  {
+    mode = Linalg.Fused.Unfused;
+    recon = Linalg.Su3_codec.Full18;
+    k = 1;
+    rank = 0;
+    geometry = None;
+  }
+
+let label p =
+  let prefix =
+    Printf.sprintf "%s_%s_k%d_r%d"
+      (Linalg.Fused.mode_name p.mode)
+      (Linalg.Su3_codec.name p.recon)
+      p.k p.rank
+  in
+  match p.geometry with
   | None -> prefix ^ "_serial"
   | Some g -> geom_label prefix g
 
-let fusion_space ?max_domains ?(chunk_floor = 1024) ~n () =
-  let geoms = pool_geometries ?max_domains ~chunk_floor ~n () in
-  let plans mode =
-    { mode; geometry = None }
-    :: List.map (fun g -> { mode; geometry = Some g }) geoms
-  in
-  List.map
-    (fun p -> (fusion_label p, p))
-    (plans Linalg.Fused.Unfused
-    @ plans Linalg.Fused.Fused
-    @ plans Linalg.Fused.Tail_fused)
+let space points ~geometries =
+  let geometries = None :: List.map Option.some geometries in
+  List.concat_map
+    (fun p -> List.map (fun geometry -> { p with geometry }) geometries)
+    points
+  |> List.fold_left
+       (fun acc p -> if List.mem p acc then acc else p :: acc)
+       [ baseline ]
+  |> List.rev_map (fun p -> (label p, p))
 
-(* One CG BLAS-1 tail iteration under a fusion plan, sized to what
-   each mode actually executes per iteration on the host: Unfused =
-   dot_re + axpy + axpy + norm2 + xpay (5 sweeps); Fused = dot_re +
+(* The pool and chunk a plan launches on: a serial plan runs inline on
+   the one-lane shared pool. *)
+let launch (p : plan) =
+  match p.geometry with
+  | None -> (Util.Pool.shared ~domains:1, None)
+  | Some (d, c) -> (Util.Pool.shared ~domains:d, Some c)
+
+(* The one tuning driver behind every tune_* below. The domain cap is
+   worked out once and handed to [space], and the caller's signature
+   (which already names the problem shape) is extended with the cap
+   and a hash of the candidate label space: a winner tuned for one
+   shape, machine width or space is never served for another, and
+   Tuner.tune independently refuses a cached winner absent from the
+   live candidates. *)
+let tune ~max_domains tuner ~kernel ~signature ~space ~run =
+  let dmax = domain_cap max_domains in
+  let space = space dmax in
+  let signature =
+    Printf.sprintf "%s:dmax%d:v%x" signature dmax
+      (Hashtbl.hash (List.map fst space))
+  in
+  let winner =
+    Tuner.tune tuner ~kernel ~signature
+      (List.map (fun (l, p) -> Tuner.candidate l (fun () -> run p)) space)
+  in
+  (winner, List.assoc winner space)
+
+(* The Wilson hop: serial against the pooled site-partitioned launches. *)
+let tune_hop ?max_domains tuner (w : Dirac.Wilson.t) ~(src : Field.t)
+    ~(dst : Field.t) ~signature =
+  let n = Field.length dst / Dirac.Wilson.floats_per_site in
+  tune ~max_domains tuner ~kernel:"wilson_hop"
+    ~signature:(Printf.sprintf "%s:n%d" signature n)
+    ~space:(fun dmax ->
+      space [ baseline ]
+        ~geometries:(pool_geometries ~max_domains:dmax ~chunk_floor:16 ~n ()))
+    ~run:(fun p ->
+      let pool, chunk = launch p in
+      Dirac.Wilson.hop_with pool ?chunk w ~src ~dst)
+
+(* One CG BLAS-1 tail iteration under a plan's fusion mode, sized to
+   what each mode actually executes per iteration on the host: Unfused
+   = dot_re + axpy + axpy + norm2 + xpay (5 sweeps); Fused = dot_re +
    cg_update + xpay_dot (3 sweeps, the separate-dot fallback);
    Tail_fused = cg_update + xpay_dot (2 sweeps — p·Ap rode the
    stencil). alpha/beta are fixed small scalars so repeated timing
    runs do not drift the data towards overflow. *)
-let run_fusion_plan (plan : fusion_plan) ~(p : Field.t) ~(ap : Field.t)
-    ~(x : Field.t) ~(r : Field.t) =
+let run_cg_tail (plan : plan) ~(p : Field.t) ~(ap : Field.t) ~(x : Field.t)
+    ~(r : Field.t) =
   let alpha = 1e-3 and beta = 0.5 in
-  match (plan.mode, plan.geometry) with
-  | Linalg.Fused.Unfused, None ->
-    ignore (Field.dot_re p ap : float);
-    Field.axpy alpha p x;
-    Field.axpy (-.alpha) ap r;
-    let r2 = Field.norm2 r in
-    Field.xpay r beta p;
+  let pool, chunk = launch plan in
+  match plan.mode with
+  | Linalg.Fused.Unfused ->
+    ignore (Field.dot_re_with pool ?chunk p ap : float);
+    Field.axpy_with pool ?chunk alpha p x;
+    Field.axpy_with pool ?chunk (-.alpha) ap r;
+    let r2 = Field.norm2_with pool ?chunk r in
+    Field.xpay_with pool ?chunk r beta p;
     r2
-  | Linalg.Fused.Fused, None ->
-    ignore (Field.dot_re p ap : float);
-    let r2 = Linalg.Fused.cg_update alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot r beta p r : float);
-    r2
-  | Linalg.Fused.Tail_fused, None ->
-    let r2 = Linalg.Fused.cg_update alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot r beta p r : float);
-    r2
-  | Linalg.Fused.Unfused, Some (domains, chunk) ->
-    let pool = Util.Pool.shared ~domains in
-    ignore (Field.dot_re_with pool ~chunk p ap : float);
-    Field.axpy_with pool ~chunk alpha p x;
-    Field.axpy_with pool ~chunk (-.alpha) ap r;
-    let r2 = Field.norm2_with pool ~chunk r in
-    Field.xpay_with pool ~chunk r beta p;
-    r2
-  | Linalg.Fused.Fused, Some (domains, chunk) ->
-    let pool = Util.Pool.shared ~domains in
-    ignore (Field.dot_re_with pool ~chunk p ap : float);
-    let r2 = Linalg.Fused.cg_update_with pool ~chunk alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot_with pool ~chunk r beta p r : float);
-    r2
-  | Linalg.Fused.Tail_fused, Some (domains, chunk) ->
-    let pool = Util.Pool.shared ~domains in
-    let r2 = Linalg.Fused.cg_update_with pool ~chunk alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot_with pool ~chunk r beta p r : float);
+  | Linalg.Fused.Fused | Linalg.Fused.Tail_fused ->
+    if plan.mode = Linalg.Fused.Fused then
+      ignore (Field.dot_re_with pool ?chunk p ap : float);
+    let r2 = Linalg.Fused.cg_update_with pool ?chunk alpha p ap x r in
+    ignore (Linalg.Fused.xpay_dot_with pool ?chunk r beta p r : float);
     r2
 
-(* Tune the mode × geometry space on the CG vector tail. Same
-   signature discipline as the other axes — and because the three
-   modes live under distinct label prefixes in ONE search for the
-   "cg_blas1" kernel, a winner can never be read back across the axis:
-   the label is the plan. The signature additionally carries a hash of
-   the candidate label space ("v%x"): when the space itself changes
-   shape (as it did when the tail-fused mode landed), cache entries
-   keyed to the old space go stale instead of serving a winner the
-   space no longer contains — and Tuner.tune independently refuses a
-   cached winner whose label is absent from the live candidates.
-
+(* The CG vector tail: the three fusion modes × pool geometries.
    [lint] vets each candidate BEFORE it enters the search: Tuner.tune
    caches its winner on first encounter, so this is the only point
    where a statically invalid plan can be kept out of the cache. The
    callback shape (rather than a direct Check.Plan_check call) is
    forced by the library graph — check links core links autotune — and
    callers close the loop with Check.Plan_check.lint_fusion. The
-   serial-unfused baseline is exempt: it must always be in the space
-   (tuner honesty), and a linter rejecting the reference plan is a
+   baseline is exempt: a linter rejecting the reference plan is a
    linter bug, not a tuning outcome. *)
 let tune_fusion ?max_domains ?lint tuner ~n =
   let p = Field.create n and ap = Field.create n in
@@ -274,203 +219,66 @@ let tune_fusion ?max_domains ?lint tuner ~n =
   Field.fill p 1e-3;
   Field.fill ap 1e-3;
   Field.fill r 1e-3;
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let all = fusion_space ~max_domains:dmax ~n () in
-  let plans =
+  let vetted (_, (pl : plan)) =
+    pl = baseline
+    ||
     match lint with
-    | None -> all
-    | Some vet ->
-      List.filter
-        (fun (_, (plan : fusion_plan)) ->
-          (plan = { mode = Linalg.Fused.Unfused; geometry = None })
-          || vet ~mode:plan.mode ~geometry:plan.geometry = None)
-        all
+    | None -> true
+    | Some vet -> vet ~mode:pl.mode ~geometry:pl.geometry = None
   in
-  let signature =
-    Printf.sprintf "n%d:dmax%d:v%x" n dmax
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"cg_blas1" ~signature
-      (List.map
-         (fun (label, plan) ->
-           Tuner.candidate label (fun () ->
-               ignore (run_fusion_plan plan ~p ~ap ~x ~r : float)))
-         plans)
-  in
-  (winner, List.assoc winner plans)
+  tune ~max_domains tuner ~kernel:"cg_blas1"
+    ~signature:(Printf.sprintf "n%d" n)
+    ~space:(fun dmax ->
+      List.filter vetted
+        (space
+           (List.map
+              (fun mode -> { baseline with mode })
+              Linalg.Fused.[ Unfused; Fused; Tail_fused ])
+           ~geometries:(pool_geometries ~max_domains:dmax ~n ())))
+    ~run:(fun pl -> ignore (run_cg_tail pl ~p ~ap ~x ~r : float))
 
-(* ---- batch-width (multi-RHS) axis ----
-   The launch dimension opened by Wilson.hop_multi: how many
-   right-hand sides ride one gauge-link stream, crossed with the pool
-   geometries. The width is part of BOTH the label (so a winner names
-   its k) and the cache signature (the batch ceiling kmax plus the
-   label-space hash) — a single-RHS winner can never be served for a
-   batched space or vice versa; Check.Mrhs_check rule MRHS003 audits
-   exactly that aliasing on extracted plans. *)
-
-type mrhs_plan = {
-  k : int;
-  geometry : (int * int) option;
-}
-
-let mrhs_label (plan : mrhs_plan) =
-  match plan.geometry with
-  | None -> Printf.sprintf "k%d_serial" plan.k
-  | Some g -> geom_label (Printf.sprintf "k%d" plan.k) g
-
-let mrhs_widths = [ 1; 2; 4; 8 ]
-
-let mrhs_space ?max_domains ?(widths = mrhs_widths) ~sites () =
-  let geoms = pool_geometries ?max_domains ~chunk_floor:16 ~n:sites () in
-  List.concat_map
-    (fun k ->
-      { k; geometry = None }
-      :: List.map (fun g -> { k; geometry = Some g }) geoms)
-    widths
-  |> List.map (fun p -> (mrhs_label p, p))
-
-(* Tune the batch width × pool geometry on a concrete batch of field
-   pairs. Fairness: every candidate processes the full [kmax]-wide
-   batch, a width-k plan as ceil(kmax/k) sub-batches — so a narrow
-   width is priced on the gauge re-streaming it actually costs, not
-   handed fewer vectors. A width-1 serial plan is always in the space
-   (the single-RHS baseline the tuner may keep). *)
-let tune_hop_multi ?max_domains tuner (w : Dirac.Wilson.t)
-    ~(srcs : Field.t array) ~(dsts : Field.t array) ~signature =
+(* The whole [kmax]-wide batch as sub-batches of the plan's width:
+   a narrow width is priced on the gauge re-streaming it costs, not
+   handed fewer vectors. *)
+let run_hop_batch (plan : plan) (w : Dirac.Wilson.t) ~(srcs : Field.t array)
+    ~(dsts : Field.t array) =
   let kmax = Array.length srcs in
-  if kmax = 0 || Array.length dsts <> kmax then
-    invalid_arg "Variants.tune_hop_multi: batch width mismatch";
-  let n = Field.length dsts.(0) / Dirac.Wilson.floats_per_site in
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let widths = List.filter (fun k -> k <= kmax) mrhs_widths in
-  let widths = if widths = [] then [ kmax ] else widths in
-  let all = mrhs_space ~max_domains:dmax ~widths ~sites:n () in
-  let run (plan : mrhs_plan) =
-    let off = ref 0 in
-    while !off < kmax do
-      let width = min plan.k (kmax - !off) in
-      let ss = Array.sub srcs !off width and ds = Array.sub dsts !off width in
-      (match plan.geometry with
-      | None ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs:ss
-          ~dsts:ds
-      | Some (d, c) ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:d) ~chunk:c w
-          ~srcs:ss ~dsts:ds);
-      off := !off + width
-    done
-  in
-  let signature =
-    Printf.sprintf "%s:sites%d:kmax%d:dmax%d:v%x" signature n kmax dmax
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"wilson_hop_multi" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         all)
-  in
-  (winner, List.assoc winner all)
+  let pool, chunk = launch plan in
+  let off = ref 0 in
+  while !off < kmax do
+    let width = min plan.k (kmax - !off) in
+    Dirac.Wilson.hop_multi_with pool ?chunk w
+      ~srcs:(Array.sub srcs !off width)
+      ~dsts:(Array.sub dsts !off width);
+    off := !off + width
+  done
 
-(* ---- gauge-codec (reconstruct) axis ----
-   The launch dimension opened by the compressed link stores
-   (Linalg.Su3_codec / Lattice.Recon): which codec the hop streams its
-   links through, crossed with batch width and pool geometry. The
-   codec is part of BOTH the label (a winner names its codec) and the
-   cache signature (via the label-space hash) — a full18 winner can
-   never be served for a compressed space or vice versa;
-   Check.Recon_check rule RECON002 audits exactly that aliasing on
-   executed plans. *)
-
-type recon_plan = {
-  recon : Linalg.Su3_codec.codec;
-  rk : int;
-  rgeometry : (int * int) option;
-}
-
-let recon_label (plan : recon_plan) =
-  Printf.sprintf "%s_%s"
-    (Linalg.Su3_codec.name plan.recon)
-    (mrhs_label { k = plan.rk; geometry = plan.rgeometry })
-
-let recon_space ?max_domains ?(codecs = Linalg.Su3_codec.all)
-    ?(widths = mrhs_widths) ~sites () =
-  let geoms = pool_geometries ?max_domains ~chunk_floor:16 ~n:sites () in
-  List.concat_map
-    (fun recon ->
-      List.concat_map
-        (fun rk ->
-          { recon; rk; rgeometry = None }
-          :: List.map (fun g -> { recon; rk; rgeometry = Some g }) geoms)
-        widths)
-    codecs
-  |> List.map (fun p -> (recon_label p, p))
-
-(* Tune codec × batch width × pool geometry on a concrete batch. One
-   Wilson operator is built per codec from the same geometry and gauge
-   (each owns its packed store); every candidate processes the full
-   [kmax]-wide batch as sub-batches of its width — the same fairness
-   rule as [tune_hop_multi], so a narrow width pays its gauge
-   re-streaming and a compressed codec pays its reconstruction flops
-   on the full batch. The uncompressed single-RHS serial baseline
-   (full18_k1_serial) is always in the space: the tuner can refuse
-   compression wholesale. [codecs] restricts the axis (e.g. dropping
-   Recon8 for a gauge with degenerate links). *)
-let tune_hop_recon ?max_domains ?codecs tuner geom gauge
-    ~(srcs : Field.t array) ~(dsts : Field.t array) ~signature =
+(* The batched hop: codec × batch width × pool geometry. One Wilson
+   operator is built per codec, before any timing, from the same
+   geometry and gauge (each owns its packed store), so a compressed
+   codec pays its reconstruction flops on the full batch and nothing
+   else. *)
+let tune_hop_recon ?max_domains ?(codecs = Linalg.Su3_codec.all) tuner geom
+    gauge ~(srcs : Field.t array) ~(dsts : Field.t array) ~signature =
   let kmax = Array.length srcs in
   if kmax = 0 || Array.length dsts <> kmax then
     invalid_arg "Variants.tune_hop_recon: batch width mismatch";
   let n = Field.length dsts.(0) / Dirac.Wilson.floats_per_site in
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
-  let widths = List.filter (fun k -> k <= kmax) mrhs_widths in
-  let widths = if widths = [] then [ kmax ] else widths in
-  let all = recon_space ~max_domains:dmax ?codecs ~widths ~sites:n () in
+  let widths = List.filter (fun k -> k <= kmax) [ 1; 2; 4; 8 ] in
   let ops =
     List.map
       (fun recon -> (recon, Dirac.Wilson.of_geometry ~recon geom gauge))
-      (match codecs with None -> Linalg.Su3_codec.all | Some cs -> cs)
+      (List.sort_uniq compare (baseline.recon :: codecs))
   in
-  let run (plan : recon_plan) =
-    let w = List.assoc plan.recon ops in
-    let off = ref 0 in
-    while !off < kmax do
-      let width = min plan.rk (kmax - !off) in
-      let ss = Array.sub srcs !off width and ds = Array.sub dsts !off width in
-      (match plan.rgeometry with
-      | None ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs:ss
-          ~dsts:ds
-      | Some (d, c) ->
-        Dirac.Wilson.hop_multi_with (Util.Pool.shared ~domains:d) ~chunk:c w
-          ~srcs:ss ~dsts:ds);
-      off := !off + width
-    done
-  in
-  let signature =
-    Printf.sprintf "%s:sites%d:kmax%d:dmax%d:v%x" signature n kmax dmax
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"wilson_hop_recon" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         all)
-  in
-  (winner, List.assoc winner all)
+  tune ~max_domains tuner ~kernel:"wilson_hop_recon"
+    ~signature:(Printf.sprintf "%s:sites%d:kmax%d" signature n kmax)
+    ~space:(fun dmax ->
+      space
+        (List.concat_map
+           (fun recon -> List.map (fun k -> { baseline with recon; k }) widths)
+           codecs)
+        ~geometries:(pool_geometries ~max_domains:dmax ~chunk_floor:16 ~n ()))
+    ~run:(fun pl -> run_hop_batch pl (List.assoc pl.recon ops) ~srcs ~dsts)
 
 (* Tune axpy on vectors of a given size: serial unroll variants plus
    pooled geometries in one search space. The signature carries both
@@ -479,11 +287,7 @@ let tune_hop_recon ?max_domains ?codecs tuner geom gauge
 let tune_axpy ?max_domains tuner ~n =
   let x = Field.create n and y = Field.create n in
   Field.fill x 1.;
-  let dmax =
-    match max_domains with
-    | Some d -> min d Util.Pool.max_domains
-    | None -> min (Domain.recommended_domain_count ()) Util.Pool.max_domains
-  in
+  let dmax = domain_cap max_domains in
   let pooled =
     List.map
       (fun (d, c) ->
@@ -502,39 +306,15 @@ let tune_axpy ?max_domains tuner ~n =
   in
   (winner, List.assoc winner variants)
 
-(* ---- deflation-rank axis ----
-   The iteration-count axis opened by Solver.Deflate: how many low
-   modes to compute once per gauge configuration and deflate out of
-   every solve on it. Unlike the traffic axes above, the trade here is
-   setup cost vs per-solve iteration reduction, so a candidate is
+(* The deflation rank. Unlike the traffic axes above, the trade here
+   is setup cost vs per-solve iteration reduction, so a candidate is
    priced on a whole campaign slice: Lanczos setup for its rank PLUS
    [solves] deflated solves on the same right-hand-side stream — the
    rank only wins if its setup amortizes within the campaign's solve
-   count. The rank is part of BOTH the label (a winner names its r;
-   Check.Deflate_check rule DEF003 audits executed plans against it)
-   and the cache signature (solve count + label-space hash). The
-   rank-0 undeflated baseline is always in the space — the tuner can
-   refuse deflation wholesale (e.g. heavy quark masses, where the low
-   modes are not separated and setup never pays). *)
-
-type deflation_plan = {
-  rank : int;
-  solves : int;  (* campaign solves the setup amortizes over *)
-}
-
-let deflation_ranks = [ 0; 2; 4; 8 ]
-
-let deflation_label (plan : deflation_plan) =
-  Printf.sprintf "defl_r%d_s%d" plan.rank plan.solves
-
-let deflation_space ?(ranks = deflation_ranks) ~solves () =
-  let ranks = List.sort_uniq compare (0 :: ranks) in
-  List.map (fun rank -> (deflation_label { rank; solves }, { rank; solves })) ranks
-
-let tune_deflation ?ranks ?(solves = 24) ?(tol = 1e-8) ?(lanczos_tol = 1e-6)
-    ?(seed = 11) tuner ~apply ~n ~signature =
+   count, which is therefore part of the signature. *)
+let tune_deflation ?(ranks = [ 0; 2; 4; 8 ]) ?(solves = 24) ?(tol = 1e-8)
+    ?(lanczos_tol = 1e-6) ?(seed = 11) tuner ~apply ~n ~signature =
   if solves < 1 then invalid_arg "Variants.tune_deflation: solves >= 1";
-  let all = deflation_space ?ranks ~solves () in
   (* the campaign's right-hand-side stream: one fixed deterministic
      draw, identical for every candidate (fairness) *)
   let bs =
@@ -545,7 +325,7 @@ let tune_deflation ?ranks ?(solves = 24) ?(tol = 1e-8) ?(lanczos_tol = 1e-6)
         b)
   in
   let max_iter = 200 * n in
-  let run (plan : deflation_plan) =
+  let run (plan : plan) =
     (* setup is INSIDE the timed region: that is the amortization
        being tuned *)
     let deflate =
@@ -567,14 +347,8 @@ let tune_deflation ?ranks ?(solves = 24) ?(tol = 1e-8) ?(lanczos_tol = 1e-6)
             : Field.t * Solver.Cg.stats))
       bs
   in
-  let signature =
-    Printf.sprintf "%s:n%d:s%d:v%x" signature n solves
-      (Hashtbl.hash (List.map fst all))
-  in
-  let winner =
-    Tuner.tune tuner ~kernel:"cg_deflate" ~signature
-      (List.map
-         (fun (label, plan) -> Tuner.candidate label (fun () -> run plan))
-         all)
-  in
-  (winner, List.assoc winner all)
+  tune ~max_domains:None tuner ~kernel:"cg_deflate"
+    ~signature:(Printf.sprintf "%s:n%d:s%d" signature n solves)
+    ~space:(fun _ ->
+      space (List.map (fun rank -> { baseline with rank }) ranks) ~geometries:[])
+    ~run

@@ -1,6 +1,8 @@
 (** Launch-parameter spaces for the real OCaml kernels — the analogue
-    of CUDA block/grid shape: BLAS-1 unroll depth and stencil
-    site-traversal orderings, each a verified drop-in replacement. *)
+    of CUDA block/grid shape: BLAS-1 unroll depth, and one tuned
+    {!plan} per kernel over fusion mode, gauge codec, batch width,
+    deflation rank and pool geometry, each a verified drop-in
+    replacement. *)
 
 val axpy_plain : float -> Linalg.Field.t -> Linalg.Field.t -> unit
 val axpy_unroll4 : float -> Linalg.Field.t -> Linalg.Field.t -> unit
@@ -8,13 +10,6 @@ val axpy_unroll8 : float -> Linalg.Field.t -> Linalg.Field.t -> unit
 
 val axpy_variants :
   (string * (float -> Linalg.Field.t -> Linalg.Field.t -> unit)) list
-
-val site_order_natural : int -> int array
-val site_order_tiled : tile:int -> int -> int array
-val site_order_strided : stride:int -> int -> int array
-
-val hop_orders : int -> (string * int array) list
-(** The candidate traversal orders for [n] sites. *)
 
 val pool_geometries :
   ?max_domains:int -> ?chunk_floor:int -> n:int -> unit -> (int * int) list
@@ -28,11 +23,33 @@ val geom_label : string -> int * int -> string
 (** ["prefix_d<domains>_c<chunk>"] — the label a pooled candidate is
     cached under. *)
 
-(** Winning hop execution plan: a serial traversal order or a pooled
-    site-partitioned launch. *)
-type hop_plan =
-  | Serial_order of int array
-  | Pooled of { domains : int; chunk : int }
+(** The one tuned plan: every launch axis a kernel can vary. A
+    kernel's space varies the axes it has and leaves the others at
+    {!baseline}'s value. [geometry = None] is a serial plan. *)
+type plan = {
+  mode : Linalg.Fused.mode;  (** BLAS-1 tail fusion *)
+  recon : Linalg.Su3_codec.codec;  (** gauge-link codec the hop streams *)
+  k : int;  (** batch width: right-hand sides per gauge stream *)
+  rank : int;  (** deflation rank; 0 = undeflated *)
+  geometry : (int * int) option;  (** (domains, chunk) *)
+}
+
+val baseline : plan
+(** [Unfused], [Full18], k = 1, rank 0, serial — present in every
+    space, so the tuner can refuse every optimisation. *)
+
+val label : plan -> string
+(** ["<mode>_<codec>_k<k>_r<rank>_serial"] or
+    ["<mode>_<codec>_k<k>_r<rank>_d<d>_c<c>"] (e.g.
+    ["unfused_recon12_k4_r0_d2_c4096"]). Injective: a cached winner
+    names its whole plan, and [Check.Plan_check] rule PLAN007 audits
+    an executed plan against the tuned one axis by axis. *)
+
+val space : plan list -> geometries:(int * int) list -> (string * plan) list
+(** [space points ~geometries]: every point crossed with serial and
+    each geometry (the points' own [geometry] is ignored), as (label,
+    plan) pairs without duplicates. {!baseline} is always present,
+    first. *)
 
 val tune_hop :
   ?max_domains:int ->
@@ -41,88 +58,59 @@ val tune_hop :
   src:Linalg.Field.t ->
   dst:Linalg.Field.t ->
   signature:string ->
-  string * hop_plan
-(** Tune the Wilson hop on a concrete field pair over serial traversal
-    orders and pooled geometries; returns the winning label and plan.
-    The cache signature is extended with [":n<sites>:dmax<cap>"] so a
-    winner never leaks across problem shapes or machine widths. *)
+  string * plan
+(** Tune the Wilson hop (kernel ["wilson_hop"]) over the serial
+    baseline and pooled site-partitioned launches. Like every [tune_*]
+    here, returns the winning label and plan, and extends the cache
+    signature with the problem shape (here [":n<sites>"]), the domain
+    cap and a hash of the candidate label space
+    ([":dmax<cap>:v<hash>"]), so a winner never leaks across shapes,
+    machine widths or spaces; [Tuner.tune] independently refuses a
+    cached winner absent from the live space. *)
 
-(** The batch-width launch axis opened by [Dirac.Wilson.hop_multi]:
-    how many right-hand sides ride one gauge-link stream, crossed
-    with the pool geometries. [geometry = None] is a serial plan. *)
-type mrhs_plan = {
-  k : int;
-  geometry : (int * int) option;
-}
+val run_cg_tail :
+  plan ->
+  p:Linalg.Field.t ->
+  ap:Linalg.Field.t ->
+  x:Linalg.Field.t ->
+  r:Linalg.Field.t ->
+  float
+(** Execute one CG BLAS-1 tail iteration under the plan's mode and
+    geometry, returning |r|² — sized to what each mode runs per
+    iteration on the host: [Unfused] dot_re + axpy + axpy + norm2 +
+    xpay (5 sweeps), [Fused] dot_re + cg_update + xpay_dot (3),
+    [Tail_fused] cg_update + xpay_dot (2; p·Ap rides the stencil). All
+    plans are bit-identical in the recurrence; only traffic
+    differs. *)
 
-val mrhs_label : mrhs_plan -> string
-(** ["k<k>_serial"] or ["k<k>_d<d>_c<c>"] — the batch width is part
-    of every label, so cached winners name their k and can never
-    alias across widths. *)
-
-val mrhs_widths : int list
-(** The candidate batch widths: [[1; 2; 4; 8]]. *)
-
-val mrhs_space :
+val tune_fusion :
   ?max_domains:int ->
-  ?widths:int list ->
-  sites:int ->
-  unit ->
-  (string * mrhs_plan) list
-(** All (label, plan) candidates for a stencil of [sites] sites:
-    every width crossed with serial + the pool geometries. The
-    width-1 serial single-RHS baseline is present whenever [1] is in
-    [widths] (the default). *)
-
-val tune_hop_multi :
-  ?max_domains:int ->
+  ?lint:
+    (mode:Linalg.Fused.mode ->
+    geometry:(int * int) option ->
+    string option) ->
   Tuner.t ->
+  n:int ->
+  string * plan
+(** Tune mode × geometry on the CG vector tail for vectors of [n]
+    floats (kernel ["cg_blas1"], shape [n<n>]).
+
+    [lint] vets every candidate before the search: a candidate for
+    which it returns [Some reason] is dropped, so it can never be
+    priced — or cached as a winner by [Tuner.tune], which caches on
+    first encounter. Callers close the library-graph loop with
+    [Check.Plan_check.lint_fusion]. The baseline is exempt (it must
+    always be searchable — tuner honesty). *)
+
+val run_hop_batch :
+  plan ->
   Dirac.Wilson.t ->
   srcs:Linalg.Field.t array ->
   dsts:Linalg.Field.t array ->
-  signature:string ->
-  string * mrhs_plan
-(** Tune batch width × pool geometry on a concrete batch of field
-    pairs (kernel ["wilson_hop_multi"]). Every candidate processes
-    the full batch — a width-k plan as ceil(kmax/k) sub-batches — so
-    narrow widths are priced on the gauge re-streaming they cost.
-    The cache signature is extended with
-    [":sites<n>:kmax<w>:dmax<cap>:v<space-hash>"]: the batch ceiling
-    and the label-space hash keep a winner tuned for one batch shape
-    from ever being served for another, and [Tuner.tune]
-    independently refuses a cached winner absent from the live
-    space — the aliasing [Check.Mrhs_check] rule MRHS003 audits on
-    extracted plans. *)
-
-(** The gauge-codec (reconstruct) launch axis opened by the compressed
-    link stores ([Linalg.Su3_codec] / [Lattice.Recon]): which codec
-    the hop streams links through, crossed with batch width and pool
-    geometry. [rgeometry = None] is a serial plan. *)
-type recon_plan = {
-  recon : Linalg.Su3_codec.codec;
-  rk : int;
-  rgeometry : (int * int) option;
-}
-
-val recon_label : recon_plan -> string
-(** ["<codec>_k<k>_serial"] or ["<codec>_k<k>_d<d>_c<c>"] (e.g.
-    ["recon12_k4_d2_c4096"]) — the codec is part of every label, so
-    cached winners name their codec and can never alias across the
-    axis ([Check.Recon_check] rule RECON002 audits executed plans
-    against the tuned winner's codec). *)
-
-val recon_space :
-  ?max_domains:int ->
-  ?codecs:Linalg.Su3_codec.codec list ->
-  ?widths:int list ->
-  sites:int ->
-  unit ->
-  (string * recon_plan) list
-(** All (label, plan) candidates: every codec (default
-    [Su3_codec.all]) × every width × serial + pool geometries. The
-    uncompressed single-RHS serial baseline ([full18_k1_serial]) is
-    present under the defaults — the tuner can refuse compression
-    wholesale. *)
+  unit
+(** Apply the hop to the whole batch as sub-batches of the plan's
+    width on its geometry. The operator must stream the plan's
+    codec. *)
 
 val tune_hop_recon :
   ?max_domains:int ->
@@ -133,18 +121,17 @@ val tune_hop_recon :
   srcs:Linalg.Field.t array ->
   dsts:Linalg.Field.t array ->
   signature:string ->
-  string * recon_plan
-(** Tune codec × batch width × pool geometry on a concrete batch
-    (kernel ["wilson_hop_recon"]). One Wilson operator is built per
-    codec from the same geometry and gauge (each owns its packed
-    store); every candidate processes the full batch as sub-batches of
-    its width — the [tune_hop_multi] fairness rule, so compressed
-    codecs pay their reconstruction flops on the whole batch. The
-    cache signature is extended with
-    [":sites<n>:kmax<w>:dmax<cap>:v<space-hash>"]. [codecs] restricts
-    the axis (e.g. dropping [Recon8] for a gauge with degenerate
-    links — [Recon8] packing raises [Su3_codec.Degenerate] on such
-    fields). *)
+  string * plan
+(** Tune codec × batch width (1, 2, 4, 8 up to the batch) × pool
+    geometry on a concrete batch (kernel ["wilson_hop_recon"], shape
+    [":sites<n>:kmax<w>"]). One Wilson operator is built per codec
+    from the same geometry and gauge; every candidate processes the
+    full batch ({!run_hop_batch}), so narrow widths pay their gauge
+    re-streaming and compressed codecs their reconstruction flops.
+    [codecs] (default [Su3_codec.all]) restricts the axis — e.g.
+    [[Full18]] tunes batch width alone, and dropping [Recon8] suits a
+    gauge with degenerate links ([Recon8] packing raises
+    [Su3_codec.Degenerate]). *)
 
 val tune_axpy :
   ?max_domains:int ->
@@ -154,92 +141,6 @@ val tune_axpy :
 (** Tune axpy on vectors of [n] floats over unroll variants and pooled
     geometries (pools drawn from [Util.Pool.shared]). The cache
     signature is ["n<n>:dmax<cap>"]. *)
-
-(** The fusion launch axis: the [Linalg.Fused.mode] of the BLAS-1
-    tail ([Unfused] classic 5-sweep / [Fused] separate-dot 3-sweep /
-    [Tail_fused] 2-sweep with p·Ap riding the stencil), crossed with
-    the pool geometries. [geometry = None] is a serial plan. *)
-type fusion_plan = {
-  mode : Linalg.Fused.mode;
-  geometry : (int * int) option;
-}
-
-val fusion_label : fusion_plan -> string
-(** ["<mode>_serial"] or ["<mode>_d<d>_c<c>"] with the
-    [Linalg.Fused.mode_name] prefix (["unfused"], ["fused"],
-    ["tailfused"]) — the three modes are labelled disjointly, so
-    cached winners can never alias across the axis. *)
-
-val fusion_space :
-  ?max_domains:int ->
-  ?chunk_floor:int ->
-  n:int ->
-  unit ->
-  (string * fusion_plan) list
-(** All (label, plan) candidates for vectors of [n] floats, all three
-    modes. The serial-unfused baseline is always present (tuner
-    honesty: the search may refuse every pooled/fused candidate). *)
-
-val run_fusion_plan :
-  fusion_plan ->
-  p:Linalg.Field.t ->
-  ap:Linalg.Field.t ->
-  x:Linalg.Field.t ->
-  r:Linalg.Field.t ->
-  float
-(** Execute one CG BLAS-1 tail iteration under the plan, returning
-    |r|² — sized to what each mode runs per iteration on the host:
-    [Unfused] dot_re + axpy + axpy + norm2 + xpay (5 sweeps), [Fused]
-    dot_re + cg_update + xpay_dot (3), [Tail_fused] cg_update +
-    xpay_dot (2; p·Ap rides the stencil). All plans are bit-identical
-    in the recurrence; only traffic differs. *)
-
-val tune_fusion :
-  ?max_domains:int ->
-  ?lint:
-    (mode:Linalg.Fused.mode ->
-    geometry:(int * int) option ->
-    string option) ->
-  Tuner.t ->
-  n:int ->
-  string * fusion_plan
-(** Tune the mode × geometry space on the CG vector tail for vectors
-    of [n] floats (kernel ["cg_blas1"], signature
-    ["n<n>:dmax<cap>:v<space-hash>"] — the hash of the candidate label
-    space invalidates cache entries when the space changes shape, and
-    [Tuner.tune] independently refuses a cached winner absent from the
-    live candidates). Returns the winning label and its plan.
-
-    [lint] vets every candidate before the search: a candidate for
-    which it returns [Some reason] is dropped, so it can never be
-    priced — or cached as a winner by [Tuner.tune], which caches on
-    first encounter. Callers close the library-graph loop with
-    [Check.Plan_check.lint_fusion]. The serial-unfused baseline is
-    exempt (it must always be searchable — tuner honesty). *)
-
-(** The deflation-rank axis opened by [Solver.Deflate]: how many low
-    modes to compute once per configuration ([Solver.Lanczos]) and
-    deflate out of every solve on it. The trade is setup cost vs
-    per-solve iteration reduction, priced over a campaign slice. *)
-type deflation_plan = {
-  rank : int;
-  solves : int;  (** campaign solves the setup amortizes over *)
-}
-
-val deflation_ranks : int list
-(** The candidate ranks: [[0; 2; 4; 8]] (0 = undeflated). *)
-
-val deflation_label : deflation_plan -> string
-(** ["defl_r<rank>_s<solves>"] — the rank is part of every label, so
-    cached winners name their rank and can never alias across the
-    axis ([Check.Deflate_check] rule DEF003 audits executed plans
-    against the tuned winner's rank). *)
-
-val deflation_space :
-  ?ranks:int list -> solves:int -> unit -> (string * deflation_plan) list
-(** All (label, plan) candidates. The rank-0 undeflated baseline is
-    always present, whatever [ranks] says — the tuner can refuse
-    deflation wholesale (tuner honesty). *)
 
 val tune_deflation :
   ?ranks:int list ->
@@ -251,14 +152,11 @@ val tune_deflation :
   apply:(Linalg.Field.t -> Linalg.Field.t -> unit) ->
   n:int ->
   signature:string ->
-  string * deflation_plan
-(** Tune the deflation rank for an operator (kernel ["cg_deflate"]).
-    Every candidate is priced on a whole campaign slice — Lanczos
-    setup for its rank (inside the timed region: the amortization IS
-    the trade) plus [solves] (default 24, the paper's 12 spin-color
-    columns × 2 sources) CG solves to [tol] on one fixed
-    right-hand-side stream shared by all candidates. The cache
-    signature is extended with [":n<n>:s<solves>:v<space-hash>"], so
-    a winner tuned for one campaign length or candidate space is
-    never served for another, and [Tuner.tune] independently refuses
-    a cached winner absent from the live space. *)
+  string * plan
+(** Tune the deflation rank (default ranks 0, 2, 4, 8) for an operator
+    (kernel ["cg_deflate"], shape [":n<n>:s<solves>"]). Every
+    candidate is priced on a whole campaign slice — Lanczos setup for
+    its rank (inside the timed region: the amortization IS the trade)
+    plus [solves] (default 24, the paper's 12 spin-color columns × 2
+    sources) CG solves to [tol] on one fixed right-hand-side stream
+    shared by all candidates. *)

@@ -34,12 +34,7 @@ let half_blocks = Numeric_check.half_blocks
 let probe_mixed_solve = Numeric_check.probe_mixed_solve
 let workflow_spec = Spec_check.workflow_spec
 let mixed_config = Spec_check.mixed_config
-let pool_plan = Pool_check.verify_plan
-let fused_plan = Fuse_check.verify_plan
-let mrhs_plan = Mrhs_check.verify_plan
-let recon_plan = Recon_check.verify_plan
 let recon_gauge = Recon_check.verify_gauge
-let deflate_plan = Deflate_check.verify_plan
 let deflate_space = Deflate_check.verify_space
 let solver_plan = Plan_check.verify
 
@@ -181,11 +176,9 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
       ]
   in
   (* the fused BLAS-1 plans the ~fused solvers actually run: the CG
-     tail kernels on the canonical reduction block, serial and on the
-     default-pool geometry, operand roles as Cg.solve passes them
-     (xpay_dot's q = r read/read repetition included — it must verify
-     clean). Static plans only: live tuning here would make the
-     standard suite timing-dependent. *)
+     tail kernels on the canonical reduction block and the
+     default-pool geometry. Static plans only: live tuning here would
+     make the standard suite timing-dependent. *)
   let fuse_ds =
     let pool = Util.Pool.get_default () in
     let d = Util.Pool.size pool in
@@ -195,44 +188,9 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     in
     let blk = Linalg.Field.reduce_block in
     Fuse_check.verify_plans
-      [
-        Fuse_check.plan ~kernel:"cg_update" ~n ~block:blk ?geometry
-          ~buffers:
-            [
-              ("p", Fuse_check.Read);
-              ("ap", Fuse_check.Read);
-              ("x", Fuse_check.Update);
-              ("r", Fuse_check.Update);
-            ]
-          ();
-        Fuse_check.plan ~kernel:"xpay_dot" ~n ~block:blk ?geometry
-          ~buffers:
-            [
-              ("r", Fuse_check.Read);
-              ("p", Fuse_check.Update);
-              ("r", Fuse_check.Read);  (* q = r: the free monitor *)
-            ]
-          ();
-        Fuse_check.plan ~kernel:"axpy_norm2" ~n ~block:blk
-          ~buffers:[ ("ap", Fuse_check.Read); ("r", Fuse_check.Update) ]
-          ();
-        Fuse_check.plan ~kernel:"caxpy_norm2" ~n ~block:blk
-          ~buffers:[ ("v", Fuse_check.Read); ("s", Fuse_check.Update) ]
-          ();
-        (* the tail-fused hop: stencil dst written, tail xpay output
-           and dot operand distinct — the clean twin of the
-           fuse-tail-aliased fixture *)
-        Fuse_check.plan ~kernel:"hop_tail" ~n ~block:blk
-          ~buffers:
-            [
-              ("u", Fuse_check.Read);
-              ("src", Fuse_check.Read);
-              ("dst", Fuse_check.Update);
-              ("out", Fuse_check.Update);
-              ("q", Fuse_check.Read);
-            ]
-          ();
-      ]
+      (List.map
+         (fun kernel -> Fuse_check.plan ~kernel ~n ~block:blk ?geometry ())
+         [ "cg_update"; "xpay_dot"; "axpy_norm2"; "caxpy_norm2"; "hop_tail" ])
     @
     (* the batched multi-RHS launches the solve_multi path runs: a
        width-4 hop with correct masking bookkeeping and a batched CG
@@ -241,14 +199,11 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     Mrhs_check.verify_plans
       [
         Mrhs_check.plan ~kernel:"wilson_hop_multi" ~k:4 ~n ~block:blk
-          ~tuned_k:4
           ~active:[| true; true; true; true |]
-          ~converged:[| false; false; false; false |]
-          ();
+          ~converged:[| false; false; false; false |];
         Mrhs_check.plan ~kernel:"multi_cg_update" ~k:4 ~n ~block:blk
           ~active:[| true; false; true; true |]
-          ~converged:[| false; true; false; false |]
-          ();
+          ~converged:[| false; true; false; false |];
       ]
   in
   (* every extractable solver/transport plan through the static
@@ -258,9 +213,9 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
      diagnostic here (warnings included) is a regression. *)
   let plan_ds = Plan_check.catalog_diagnostics () in
   (* the compressed gauge-link executions the recon path runs: a
-     reunitarized hot field audited at every codec, a correctly tuned
-     recon12 launch with a freshly packed compressed halo, and an
-     untuned recon8 launch — the clean twins of the recon-* fixtures *)
+     reunitarized hot field audited at every codec, a recon12 launch
+     with a freshly packed compressed halo, and a recon8 launch — the
+     clean twins of the recon-* fixtures *)
   let recon_ds =
     let g = Lattice.Gauge.random geom rng in
     Lattice.Gauge.reunitarize g;
@@ -271,8 +226,7 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
     @ Recon_check.verify_plans
         [
           Recon_check.plan ~kernel:"wilson_hop_recon"
-            ~recon:Linalg.Su3_codec.Recon12
-            ~tuned_recon:Linalg.Su3_codec.Recon12 ~max_violation:v
+            ~recon:Linalg.Su3_codec.Recon12 ~max_violation:v
             ~gauge_epoch:5 ~halo_epoch:5 ~halo_compressed:true ();
           Recon_check.plan ~kernel:"wilson_hop_recon"
             ~recon:Linalg.Su3_codec.Recon8 ~max_violation:v ();
@@ -281,8 +235,8 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
   (* the deflated-solve path the ?deflate hooks run: a real Lanczos
      space on a small-eigenvalue SPD operator, audited live against
      the operator and the configuration hash it was built from, plus
-     a correctly tuned static plan — the clean twins of the deflate-*
-     fixtures. Must verify silent. *)
+     a static plan — the clean twins of the deflate-* fixtures. Must
+     verify silent. *)
   let deflate_ds =
     let n = 96 in
     let diag =
@@ -307,12 +261,12 @@ let standard_suite ?(seed = 20_180_920) () : Diagnostic.report =
       Solver.Deflate.field_hash probe
     in
     let space = Solver.Deflate.of_lanczos ~bound:1e-6 ~config_hash:hash res in
-    Deflate_check.verify_space ~tuned_rank:2 ~config_hash:hash ~apply space
+    Deflate_check.verify_space ~config_hash:hash ~apply space
     @ Deflate_check.verify_plans
         [
           Deflate_check.plan ~kernel:"cg_deflate" ~rank:4 ~n:(1 lsl 16)
             ~space_hash:0x5eed ~config_hash:0x5eed ~ortho_drift:1e-14
-            ~max_residual:1e-9 ~bound:1e-6 ~tuned_rank:4 ();
+            ~max_residual:1e-9 ~bound:1e-6;
         ]
   in
   [

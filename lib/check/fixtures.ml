@@ -1,26 +1,22 @@
-(* Seeded defect fixtures: thirty-four artifacts, each carrying
+(* Seeded defect fixtures: twenty-eight artifacts, each carrying
    exactly the class of bug its pass exists to catch (six of them
    nonblocking-halo defects: early boundary read, send-buffer race,
    lost completion, zero-copy corruption, wasted double-buffering,
-   transport/policy mismatch; three pool-determinism defects:
-   completion-order reduction, broken chunk partition, under-cutoff
-   pooled launch; four fused-kernel defects: non-canonical reduction
-   block, aliased output operand, stencil-tail output aliasing the
-   hop dst, untuned launch geometry; three batched multi-RHS defects:
-   converged RHS left active, mask width mismatching the batch,
-   stale single-RHS tuner winner aliased onto a batched plan; seven
-   plan-level defects caught statically from the IR alone: partition
-   overlap, aliased fused output, tail output aliasing the stencil
-   dst, zero-copy window write, model/IR sweep mismatch, half-codec
-   range violation, stale-precision read; three compressed gauge-link
-   defects: non-unitary source link beyond the codec tolerance, codec
-   mismatch against the tuned winner, stale compressed halo; three
-   low-mode deflation defects: space stale against the live gauge
-   configuration, basis drifted beyond its build bound, executed rank
-   aliasing a tuner winner of another rank). The
-   CLI's --selftest and the test suite assert every one is detected,
-   which keeps the checker honest — a pass that silently stops firing
-   fails CI. *)
+   transport/policy mismatch; two pool-determinism defects:
+   completion-order reduction, under-cutoff pooled launch; one
+   fused-kernel defect: non-canonical reduction block; two batched
+   multi-RHS defects: converged RHS left active, mask width
+   mismatching the batch; eight plan-level defects caught statically
+   from the IR alone: partition overlap, aliased fused output, tail
+   output aliasing the stencil dst, zero-copy window write, model/IR
+   sweep mismatch, half-codec range violation, stale-precision read,
+   executed plan differing from the tuned one; two compressed
+   gauge-link defects: non-unitary source link beyond the codec
+   tolerance, stale compressed halo; two low-mode deflation defects:
+   space stale against the live gauge configuration, basis drifted
+   beyond its build bound). The CLI's --selftest and the test suite
+   assert every one is detected, which keeps the checker honest — a
+   pass that silently stops firing fails CI. *)
 
 module P = Jobman.Pipeline
 module F = Linalg.Field
@@ -186,21 +182,7 @@ let unordered_reduce () =
     (Pool_check.plan ~reduction:Pool_check.Completion_order ~kernel:"norm2"
        ~n:(1 lsl 17) ~domains:4 ~chunk:8192 ())
 
-(* 6a. A hand-scheduled partition that drops a range and double-covers
-   another: chunk 2 was never launched and chunk 1 launched twice (the
-   classic off-by-one in a custom scheduler). *)
-let bad_partition () =
-  Pool_check.verify_plan
-    {
-      Pool_check.kernel = "axpy";
-      n = 4096;
-      domains = 2;
-      chunk = 1024;
-      partition = [| (0, 1024); (1024, 2048); (1024, 2048); (3072, 4096) |];
-      reduction = None;
-    }
-
-(* 6b. A 512-element axpy forked across 4 domains: bit-identical but
+(* 6a. A 512-element axpy forked across 4 domains: bit-identical but
    slower than the serial loop — the geometry the tuner must reject. *)
 let tiny_pooled () =
   Pool_check.verify_plan
@@ -212,66 +194,11 @@ let tiny_pooled () =
    layer exists to rule out. *)
 let fused_wrong_block () =
   Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"axpy_norm2" ~n:(1 lsl 20) ~block:4096
-       ~buffers:[ ("x", Fuse_check.Read); ("y", Fuse_check.Update) ]
-       ())
-
-(* 7a. A tripleCGUpdate whose solution output x is handed the same
-   buffer as the stencil result Ap: the single pass updates x while
-   the r-recurrence still reads Ap from it. *)
-let fused_aliased_output () =
-  Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"cg_update" ~n:(1 lsl 20)
-       ~block:Linalg.Field.reduce_block
-       ~buffers:
-         [
-           ("p", Fuse_check.Read);
-           ("ap", Fuse_check.Read);
-           ("ap", Fuse_check.Update);  (* x given the ap buffer *)
-           ("r", Fuse_check.Update);
-         ]
-       ())
-
-(* 7a'. A tail-fused hop whose xpay output is handed the same buffer
-   as the stencil dst: the tail's closing loop reads the freshly
-   written stencil block while overwriting it in place — the runtime
-   guard (Fused.tail_check's same_data probe) rejects the call, and
-   this static plan carries the same duplicate-Update hazard. *)
-let fused_tail_aliased () =
-  Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"hop_tail" ~n:(256 * 24)
-       ~block:Linalg.Field.reduce_block
-       ~buffers:
-         [
-           ("u", Fuse_check.Read);
-           ("src", Fuse_check.Read);
-           ("dst", Fuse_check.Update);
-           ("dst", Fuse_check.Update);  (* tail out given the dst buffer *)
-           ("q", Fuse_check.Read);
-         ]
-       ())
-
-(* 7b. A fused launch on a 4-domain geometry when the tuner's recorded
-   winner for this kernel and shape is 2 domains: running a plan the
-   autotuner never priced. *)
-let fused_untuned_geometry () =
-  Fuse_check.verify_plan
-    (Fuse_check.plan ~kernel:"cg_update" ~n:(1 lsl 20)
-       ~block:Linalg.Field.reduce_block
-       ~geometry:(4, 131072)
-       ~tuned:(Some (2, 524288))
-       ~buffers:
-         [
-           ("p", Fuse_check.Read);
-           ("ap", Fuse_check.Read);
-           ("x", Fuse_check.Update);
-           ("r", Fuse_check.Update);
-         ]
-       ())
+    (Fuse_check.plan ~kernel:"axpy_norm2" ~n:(1 lsl 20) ~block:4096 ())
 
 (* ---- 7'. batched multi-RHS defects ---- *)
 
-(* 7c. A batched CG update whose RHS 1 met its stopping criterion but
+(* 7a. A batched CG update whose RHS 1 met its stopping criterion but
    was never dropped from the active set: the batched kernels keep
    advancing an iterate the independent solve froze — the trajectory
    silently diverges from the k-independent-solves reference. *)
@@ -280,10 +207,9 @@ let mrhs_masked_update () =
     (Mrhs_check.plan ~kernel:"multi_cg_update" ~k:4 ~n:(1 lsl 16)
        ~block:Linalg.Field.reduce_block
        ~active:[| true; true; true; false |]
-       ~converged:[| false; true; false; true |]
-       ())
+       ~converged:[| false; true; false; true |])
 
-(* 7d. A width-4 batched hop carrying width-3 masks: the RHS at the
+(* 7b. A width-4 batched hop carrying width-3 masks: the RHS at the
    batch boundary is silently dropped (or invented) by every masked
    loop. *)
 let mrhs_block_mismatch () =
@@ -291,20 +217,7 @@ let mrhs_block_mismatch () =
     (Mrhs_check.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:(1 lsl 16)
        ~block:Linalg.Field.reduce_block
        ~active:[| true; true; true |]
-       ~converged:[| false; false; false |]
-       ())
-
-(* 7e. A width-4 batched launch running under the tuner winner that
-   was recorded for the single-RHS space: the batched plan was never
-   priced, so bench rows and the amortized-traffic model describe a
-   different launch. *)
-let mrhs_stale_tuned () =
-  Mrhs_check.verify_plan
-    (Mrhs_check.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:(1 lsl 16)
-       ~block:Linalg.Field.reduce_block ~tuned_k:1
-       ~active:[| true; true; true; true |]
-       ~converged:[| false; false; false; false |]
-       ())
+       ~converged:[| false; false; false |])
 
 (* ---- 8. plan-level defects: the same bug classes caught statically,
    from the IR alone, before any kernel runs ---- *)
@@ -325,7 +238,8 @@ let plan_partition_overlap () =
        ~steps:[ Launch k ] "overlap-fixture")
 
 (* 8b. The fused CG tail with the solution output aliasing the Ap
-   input — FUSE002's bug class, caught from the plan. *)
+   input — the aliasing Linalg.Fused's runtime guard rejects, caught
+   from the plan. *)
 let plan_aliased_output () =
   let open Plan_ir in
   let p = Plan_extract.cg_tail ~fused:true () in
@@ -366,8 +280,8 @@ let plan_tail_aliased () =
   Plan_check.verify { p with steps = List.map alias p.steps }
 
 (* 8c. The zero-copy halo schedule with a kernel writing the posted
-   buffer inside the open window — HALO011/DET002's corruption, from
-   the schedule alone. *)
+   buffer inside the open window — HALO011's corruption, from the
+   schedule alone. *)
 let plan_zero_copy_write () =
   let open Plan_ir in
   let p = Plan_extract.dd_zero_copy () in
@@ -417,6 +331,24 @@ let plan_stale_precision () =
   in
   Plan_check.verify { p with steps }
 
+(* 8g. A batched hop executed tail-fused, through recon12, 4 wide,
+   rank-8 deflated and on 2 domains, when the tuner's winner for this
+   kernel and shape was the serial baseline: no axis of what runs was
+   ever priced, so the bench rows and every Perf_model term describe a
+   different launch. *)
+let plan_untuned () =
+  let module V = Autotune.Variants in
+  Plan_check.verify_tuned ~kernel:"wilson_hop_recon"
+    ~executed:
+      {
+        V.mode = Linalg.Fused.Tail_fused;
+        recon = Linalg.Su3_codec.Recon12;
+        k = 4;
+        rank = 8;
+        geometry = Some (2, 4096);
+      }
+    ~tuned:V.baseline
+
 (* ---- 9. compressed gauge-link (reconstruct) defects ---- *)
 
 (* 9a. A hot gauge field with its first link scaled by 1.3: U†U =
@@ -432,16 +364,7 @@ let recon_nonunitary_link () =
   done;
   Recon_check.verify_gauge ~recon:Linalg.Su3_codec.Recon12 g
 
-(* 9b. A recon12 launch under the tuner winner recorded for full18:
-   the launch was never priced at this link-traffic point, so bench
-   rows and the model's recon term describe a different kernel. *)
-let recon_tuned_mismatch () =
-  Recon_check.verify_plan
-    (Recon_check.plan ~kernel:"wilson_hop_recon"
-       ~recon:Linalg.Su3_codec.Recon12
-       ~tuned_recon:Linalg.Su3_codec.Full18 ~max_violation:1e-15 ())
-
-(* 9c. A compressed halo packed two gauge epochs before the live
+(* 9b. A compressed halo packed two gauge epochs before the live
    field: ghost links decode to mutated-away values — the gauge twin
    of the stale-halo spinor race. *)
 let recon_stale_halo () =
@@ -491,16 +414,6 @@ let deflate_drifted_basis () =
       (values, basis, stats)
   in
   Deflate_check.verify_space ~config_hash:0x5eed ~apply space
-
-(* 10c. A rank-8 deflated solve under the tuner winner recorded for
-   rank 4: the setup amortization was priced at another point of the
-   rank axis, so bench rows and the break-even count describe a
-   different campaign. *)
-let deflate_rank_mismatch () =
-  Deflate_check.verify_plan
-    (Deflate_check.plan ~kernel:"cg_deflate" ~rank:8 ~n:(1 lsl 16)
-       ~space_hash:0x5eed ~config_hash:0x5eed ~ortho_drift:1e-14
-       ~max_residual:1e-9 ~bound:1e-6 ~tuned_rank:4 ())
 
 let all =
   [
@@ -577,12 +490,6 @@ let all =
       run = unordered_reduce;
     };
     {
-      name = "det-bad-partition";
-      defect = "chunk partition with a dropped range and a double-covered one";
-      expect = "DET002";
-      run = bad_partition;
-    };
-    {
       name = "det-tiny-pooled";
       defect = "512-element axpy forked across 4 domains (under the cutoff)";
       expect = "DET003";
@@ -595,24 +502,6 @@ let all =
       run = fused_wrong_block;
     };
     {
-      name = "fuse-aliased-output";
-      defect = "cg_update with the solution output aliasing the Ap input";
-      expect = "FUSE002";
-      run = fused_aliased_output;
-    };
-    {
-      name = "fuse-tail-aliased";
-      defect = "tail-fused hop with the xpay output aliasing the stencil dst";
-      expect = "FUSE002";
-      run = fused_tail_aliased;
-    };
-    {
-      name = "fuse-untuned-geometry";
-      defect = "fused launch on a geometry the tuner's winner disagrees with";
-      expect = "FUSE003";
-      run = fused_untuned_geometry;
-    };
-    {
       name = "mrhs-masked-update";
       defect = "batched CG update with a converged RHS still active";
       expect = "MRHS001";
@@ -623,12 +512,6 @@ let all =
       defect = "width-4 batched hop carrying width-3 per-RHS masks";
       expect = "MRHS002";
       run = mrhs_block_mismatch;
-    };
-    {
-      name = "mrhs-stale-tuned";
-      defect = "width-4 batched launch under a single-RHS tuner winner";
-      expect = "MRHS003";
-      run = mrhs_stale_tuned;
     };
     {
       name = "plan-partition-overlap";
@@ -673,16 +556,16 @@ let all =
       run = plan_stale_precision;
     };
     {
+      name = "plan-untuned";
+      defect = "launch differing from the tuner's winner on every plan axis";
+      expect = "PLAN007";
+      run = plan_untuned;
+    };
+    {
       name = "recon-nonunitary-link";
       defect = "link scaled by 1.3 packed through the recon12 codec";
       expect = "RECON001";
       run = recon_nonunitary_link;
-    };
-    {
-      name = "recon-tuned-mismatch";
-      defect = "recon12 launch under a tuner winner recorded for full18";
-      expect = "RECON002";
-      run = recon_tuned_mismatch;
     };
     {
       name = "recon-stale-halo";
@@ -701,12 +584,6 @@ let all =
       defect = "basis vector rescaled by 1.1 after the Lanczos build";
       expect = "DEF002";
       run = deflate_drifted_basis;
-    };
-    {
-      name = "deflate-rank-mismatch";
-      defect = "rank-8 deflated solve under a tuner winner recorded for rank 4";
-      expect = "DEF003";
-      run = deflate_rank_mismatch;
     };
   ]
 

@@ -18,9 +18,6 @@ val lost_completion : unit -> Diagnostic.t list
 val nan_solve : unit -> Diagnostic.t list
 val bad_half_block : unit -> Diagnostic.t list
 val fused_wrong_block : unit -> Diagnostic.t list
-val fused_aliased_output : unit -> Diagnostic.t list
-val fused_tail_aliased : unit -> Diagnostic.t list
-val fused_untuned_geometry : unit -> Diagnostic.t list
 val plan_partition_overlap : unit -> Diagnostic.t list
 val plan_aliased_output : unit -> Diagnostic.t list
 val plan_tail_aliased : unit -> Diagnostic.t list
@@ -28,12 +25,11 @@ val plan_zero_copy_write : unit -> Diagnostic.t list
 val plan_sweep_mismatch : unit -> Diagnostic.t list
 val plan_half_range : unit -> Diagnostic.t list
 val plan_stale_precision : unit -> Diagnostic.t list
+val plan_untuned : unit -> Diagnostic.t list
 val recon_nonunitary_link : unit -> Diagnostic.t list
-val recon_tuned_mismatch : unit -> Diagnostic.t list
 val recon_stale_halo : unit -> Diagnostic.t list
 val deflate_stale_space : unit -> Diagnostic.t list
 val deflate_drifted_basis : unit -> Diagnostic.t list
-val deflate_rank_mismatch : unit -> Diagnostic.t list
 
 val all : t list
 val find : string -> t option

@@ -1,51 +1,32 @@
 (* Static checker for fused BLAS-1 kernel plans (Linalg.Fused). A
    fused launch is summarized as a [plan] — which fused kernel, the
    vector length, the reduction block its single-pass term accumulates
-   over, the pool geometry it will run on, the operand roles — and the
-   pass verifies the contract the fused≡unfused bit-identity and the
-   autotuner's bookkeeping rest on:
+   over, the pool geometry it will run on — and the pass verifies the
+   contract the fused≡unfused bit-identity rests on:
 
    FUSE001  the fused reduction accumulates over a block size other
             than the canonical Field.reduce_block: partials associate
             differently from the standalone norm2/dot_re, so the fused
             result silently diverges from the unfused one in the last
             bits — exactly the drift the fusion layer promises away
-   FUSE002  an output (read-modify-write) operand aliases an operand
-            of a different role: a fused kernel caches operands in
-            registers across the update+reduce pass, so the aliased
-            reader observes half-updated data (the host fallback
-            happens to agree element-wise; an accelerator build does
-            not)
-   FUSE003  the plan's pool geometry disagrees with the geometry the
-            tuner recorded for this kernel and shape: someone is
-            running a fusion plan the autotuner never priced, so the
-            bench rows and the Perf_model traffic term no longer
-            describe the launch *)
 
-type role = Read | Update
+   Output-operand aliasing is proved statically on the plan IR
+   (Plan_check PLAN002), and the executed-vs-tuned plan by PLAN007. *)
 
 type plan = {
   kernel : string;  (* fused kernel name, e.g. "cg_update" *)
   n : int;  (* vector length in floats *)
   block : int;  (* reduction block the fused term accumulates over *)
   geometry : (int * int) option;  (* (domains, chunk); None = serial *)
-  buffers : (string * role) list;  (* operand name -> role *)
-  tuned : (int * int) option option;
-      (* [Some g]: the tuner's recorded winner geometry for this
-         kernel and shape ([None] = the serial plan won); [None]: no
-         tuning record to compare against, FUSE003 is skipped *)
 }
 
 let rules =
   [
     ( "FUSE001",
       "fused reduction block diverges from the canonical unfused association" );
-    ("FUSE002", "output operand of a fused kernel aliases a different role");
-    ("FUSE003", "fusion plan geometry inconsistent with the tuned winner");
   ]
 
-let plan ?geometry ?tuned ~kernel ~n ~block ~buffers () =
-  { kernel; n; block; geometry; buffers; tuned }
+let plan ?geometry ~kernel ~n ~block () = { kernel; n; block; geometry }
 
 let geom_str = function
   | None -> "serial"
@@ -55,7 +36,7 @@ let loc p =
   Printf.sprintf "%s[n=%d,block=%d,%s]" p.kernel p.n p.block
     (geom_str p.geometry)
 
-let check_association p =
+let verify_plan p =
   if p.block <> Linalg.Field.reduce_block then
     [
       Diagnostic.error ~rule:"FUSE001" ~loc:(loc p)
@@ -72,76 +53,4 @@ let check_association p =
     ]
   else []
 
-(* An Update operand must not share a buffer with any *other* operand
-   position: another reader sees half-updated data mid-pass, a second
-   writer races it. Read/Read repetition is fine (and load-bearing:
-   xpay_dot's p·r monitor passes r as both x and q). *)
-let check_aliasing p =
-  let arr = Array.of_list p.buffers in
-  let ds = ref [] in
-  Array.iteri
-    (fun i (name_i, role_i) ->
-      if role_i = Update then
-        Array.iteri
-          (fun j (name_j, role_j) ->
-            if j > i && name_i = name_j then
-              let what =
-                if role_j = Update then "a second output operand"
-                else "a read operand"
-              in
-              ds :=
-                Diagnostic.error ~rule:"FUSE002" ~loc:(loc p)
-                  ~hint:
-                    "give the fused kernel distinct buffers per role; the \
-                     runtime guard (Invalid_argument) only catches physical \
-                     equality"
-                  (Printf.sprintf
-                     "output operand %S aliases %s: the fused single pass \
-                      updates it while the other role still reads or writes \
-                      it"
-                     name_i what)
-                :: !ds)
-          arr)
-    arr;
-  (* symmetric case: a later Update aliasing an earlier Read *)
-  Array.iteri
-    (fun i (name_i, role_i) ->
-      if role_i = Read then
-        Array.iteri
-          (fun j (name_j, role_j) ->
-            if j > i && role_j = Update && name_i = name_j then
-              ds :=
-                Diagnostic.error ~rule:"FUSE002" ~loc:(loc p)
-                  ~hint:
-                    "give the fused kernel distinct buffers per role; the \
-                     runtime guard (Invalid_argument) only catches physical \
-                     equality"
-                  (Printf.sprintf
-                     "output operand %S aliases a read operand: the fused \
-                      single pass updates it while the other role still \
-                      reads it"
-                     name_j)
-                :: !ds)
-          arr)
-    arr;
-  List.rev !ds
-
-let check_tuned p =
-  match p.tuned with
-  | None -> []
-  | Some tuned when tuned = p.geometry -> []
-  | Some tuned ->
-    [
-      Diagnostic.error ~rule:"FUSE003" ~loc:(loc p)
-        ~hint:
-          "run the geometry the tuner picked for this kernel and shape (or \
-           re-tune with the new shape in the cache signature)"
-        (Printf.sprintf
-           "fusion plan runs geometry %s but the tuner's winner for this \
-            shape is %s: the launch was never priced, so bench rows and the \
-            Perf_model traffic term do not describe it"
-           (geom_str p.geometry) (geom_str tuned));
-    ]
-
-let verify_plan p = check_association p @ check_aliasing p @ check_tuned p
 let verify_plans ps = List.concat_map verify_plan ps

@@ -1,34 +1,18 @@
 (** Static checker for fused BLAS-1 kernel plans ([Linalg.Fused]):
     verifies that a fused launch keeps the canonical reduction
-    association (bit-identity with the unfused kernels), that no
-    output operand aliases another role, and that the geometry agrees
-    with the autotuner's recorded winner. Rule ids [FUSE001]–[FUSE003]. *)
-
-type role = Read | Update
+    association (bit-identity with the unfused kernels). Rule id
+    [FUSE001]; operand aliasing is proved on the plan IR
+    ([Plan_check] PLAN002) and the executed-vs-tuned plan by
+    [Plan_check] PLAN007. *)
 
 type plan = {
   kernel : string;  (** fused kernel name, e.g. ["cg_update"] *)
   n : int;  (** vector length in floats *)
   block : int;  (** reduction block the fused term accumulates over *)
   geometry : (int * int) option;  (** (domains, chunk); [None] = serial *)
-  buffers : (string * role) list;  (** operand name → role *)
-  tuned : (int * int) option option;
-      (** [Some g]: the tuner's winner geometry for this kernel and
-          shape ([None] = serial won); [None]: no tuning record,
-          FUSE003 is skipped *)
 }
 
 val rules : (string * string) list
-
-val plan :
-  ?geometry:int * int ->
-  ?tuned:(int * int) option ->
-  kernel:string ->
-  n:int ->
-  block:int ->
-  buffers:(string * role) list ->
-  unit ->
-  plan
-
+val plan : ?geometry:int * int -> kernel:string -> n:int -> block:int -> unit -> plan
 val verify_plan : plan -> Diagnostic.t list
 val verify_plans : plan list -> Diagnostic.t list

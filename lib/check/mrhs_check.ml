@@ -1,8 +1,8 @@
 (* Static checker for batched multi-RHS launch plans (Wilson.hop_multi
    / Multi_blas / Cg.solve_multi). A batched launch is summarized as a
    [plan] — which batched kernel, the batch width k, the per-RHS
-   vector length, the reduction block, the per-RHS masking state, the
-   batch width of the tuner's recorded winner — and the pass verifies
+   vector length, the reduction block, the per-RHS masking state — and
+   the pass verifies
    the contract the per-RHS bit-identity rests on:
 
    MRHS001  a converged right-hand side is still in the active set:
@@ -15,12 +15,8 @@
             silently drops or invents systems at the batch boundary,
             and a per-RHS fold on a non-canonical block associates
             partials differently from the single-RHS reductions
-   MRHS003  the plan's batch width disagrees with the batch width of
-            the tuner's recorded winner: a single-RHS (or other-width)
-            winner is aliased onto this batched launch, so the bench
-            rows and the Perf_model mrhs traffic term
-            ([Machine.Perf_model.mrhs_bytes_per_site]) no longer
-            describe what runs *)
+
+   The executed-vs-tuned batch width is Plan_check PLAN007. *)
 
 type plan = {
   kernel : string;  (* batched kernel name, e.g. "wilson_hop_multi" *)
@@ -29,20 +25,16 @@ type plan = {
   block : int;  (* reduction block of the per-RHS folds *)
   active : bool array;  (* per-RHS: still contributing updates *)
   converged : bool array;  (* per-RHS: met its stopping criterion *)
-  tuned_k : int option;
-      (* batch width of the tuner's recorded winner for this kernel
-         and shape; [None]: no tuning record, MRHS003 is skipped *)
 }
 
 let rules =
   [
     ("MRHS001", "converged right-hand side still in the batched active set");
     ("MRHS002", "per-RHS mask or reduction partition mismatches the batch");
-    ("MRHS003", "batched plan aliases a tuner winner of another batch width");
   ]
 
-let plan ?tuned_k ~kernel ~k ~n ~block ~active ~converged () =
-  { kernel; k; n; block; active; converged; tuned_k }
+let plan ~kernel ~k ~n ~block ~active ~converged =
+  { kernel; k; n; block; active; converged }
 
 let loc p = Printf.sprintf "%s[k=%d,n=%d,block=%d]" p.kernel p.k p.n p.block
 
@@ -108,24 +100,5 @@ let check_partition p =
   in
   mask_ds @ block_ds
 
-let check_tuned p =
-  match p.tuned_k with
-  | None -> []
-  | Some kt when kt = p.k -> []
-  | Some kt ->
-    [
-      Diagnostic.error ~rule:"MRHS003" ~loc:(loc p)
-        ~hint:
-          "key the tuner cache on the batch width (Variants.tune_hop_multi \
-           puts k in the label and kmax in the signature) and re-tune at \
-           this width"
-        (Printf.sprintf
-           "batched plan of width %d runs under a tuner winner recorded for \
-            width %d: the launch was never priced at this batch shape, so \
-            bench rows and the Perf_model mrhs traffic term do not describe \
-            it"
-           p.k kt);
-    ]
-
-let verify_plan p = check_masking p @ check_partition p @ check_tuned p
+let verify_plan p = check_masking p @ check_partition p
 let verify_plans ps = List.concat_map verify_plan ps

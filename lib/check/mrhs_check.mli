@@ -1,10 +1,10 @@
 (** Static checker for batched multi-RHS launch plans
     ([Dirac.Wilson.hop_multi], [Linalg.Multi_blas],
     [Solver.Cg.solve_multi]): verifies the per-RHS convergence masking
-    (a converged system must leave the active set), that masks and
-    reduction partitions match the batch width, and that the batch
-    width agrees with the tuner's recorded winner. Rule ids
-    [MRHS001]–[MRHS003]. *)
+    (a converged system must leave the active set) and that masks and
+    reduction partitions match the batch width. Rule ids
+    [MRHS001]–[MRHS002]; the executed-vs-tuned batch width is
+    [Plan_check] PLAN007. *)
 
 type plan = {
   kernel : string;  (** batched kernel name, e.g. ["wilson_hop_multi"] *)
@@ -13,22 +13,17 @@ type plan = {
   block : int;  (** reduction block of the per-RHS folds *)
   active : bool array;  (** per-RHS: still contributing updates *)
   converged : bool array;  (** per-RHS: met its stopping criterion *)
-  tuned_k : int option;
-      (** batch width of the tuner's recorded winner for this kernel
-          and shape; [None]: no tuning record, MRHS003 is skipped *)
 }
 
 val rules : (string * string) list
 
 val plan :
-  ?tuned_k:int ->
   kernel:string ->
   k:int ->
   n:int ->
   block:int ->
   active:bool array ->
   converged:bool array ->
-  unit ->
   plan
 
 val verify_plan : plan -> Diagnostic.t list

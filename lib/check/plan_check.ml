@@ -1,15 +1,15 @@
 (* Static analyses over the plan IR: every rule here fires from the
-   plan alone, before a single kernel runs. Three pass families:
+   plan alone, before a single kernel runs. Pass families:
 
    - PLAN001/002/006: effect and aliasing — pooled partitions must
      tile [0, n) disjointly, a kernel's outputs must never alias its
-     inputs (the static counterpart of FUSE002's runtime probe), every
-     step must reference declared buffers.
+     inputs (the static counterpart of Linalg.Fused's runtime alias
+     guard), every step must reference declared buffers.
 
    - PLAN003/004: transport windows — no write into a buffer whose
      halo post window is open (under zero-copy the payload aliases the
-     field in flight: the static counterpart of HALO011/DET002), and
-     the post/complete protocol must balance.
+     field in flight: the static counterpart of HALO011), and the
+     post/complete protocol must balance.
 
    - PLAN005: model consistency — the IR's BLAS-1 sweep total must
      equal what Machine.Perf_model prices, exactly. The old
@@ -22,7 +22,11 @@
      magnitude-interval x quantization-error state per buffer,
      propagated through launches and quantize points, flagging
      half-codec overflow/underflow/dynamic-range violations and
-     stale-precision reads. *)
+     stale-precision reads.
+
+   - PLAN007: the executed Autotune.Variants.plan must be the tuned
+     one, on every axis (fusion mode, codec, batch width, deflation
+     rank, pool geometry). *)
 
 open Plan_ir
 module D = Diagnostic
@@ -35,6 +39,7 @@ let rules =
     ("PLAN004", "halo post/complete windows must balance");
     ("PLAN005", "IR BLAS-1 sweeps must match the performance model");
     ("PLAN006", "steps must reference declared buffers");
+    ("PLAN007", "executed plan must match the tuned plan on every axis");
     ("PREC001", "half-codec dynamic range must fit the int16 mantissa");
     ("PREC002", "half-codec block norm must not underflow float32");
     ("PREC003", "no kernel may mix stale and quantized half operands");
@@ -187,7 +192,7 @@ let check_aliasing p =
                          name)
                       ~hint:
                         "an in-place alias makes the fused result depend on \
-                         evaluation order (FUSE002's static counterpart)")
+                         evaluation order")
                else None)
              names
          | _ -> [])
@@ -214,7 +219,7 @@ let check_windows p =
                 buf)
              ~hint:
                "the transport aliases the payload in flight: the neighbour \
-                reads torn data (HALO011/DET002 at plan level)")
+                reads torn data (HALO011 at plan level)")
       | Machine.Transport.Staged ->
         add
           (D.warning ~rule:"PLAN003" ~loc
@@ -516,6 +521,49 @@ let lint_fusion ~n ~(mode : Linalg.Fused.mode) ~geometry =
     | Linalg.Fused.Fused -> Plan_extract.cg_tail_separate ~n ?geometry ()
   in
   List.filter D.is_error (verify plan)
+
+(* ---- PLAN007: executed plan vs tuned plan ----
+   One rule for every tuning axis: the tuner priced [tuned] for this
+   kernel and shape, so running any other plan means the bench rows
+   and the Perf_model terms (traffic, sweeps, amortization) describe a
+   launch that never ran. The diagnostic names every axis that
+   differs. *)
+let verify_tuned ~kernel ~(executed : Autotune.Variants.plan)
+    ~(tuned : Autotune.Variants.plan) =
+  let geom = function
+    | None -> "serial"
+    | Some (d, c) -> Printf.sprintf "d%d_c%d" d c
+  in
+  let axis name show get =
+    let e = get executed and t = get tuned in
+    if e = t then None
+    else Some (Printf.sprintf "%s (executed %s, tuned %s)" name (show e) (show t))
+  in
+  match
+    List.filter_map Fun.id
+      [
+        axis "mode" Linalg.Fused.mode_name (fun p -> p.mode);
+        axis "recon" Linalg.Su3_codec.name (fun p -> p.recon);
+        axis "k" string_of_int (fun p -> p.k);
+        axis "rank" string_of_int (fun p -> p.rank);
+        axis "geometry" geom (fun p -> p.geometry);
+      ]
+  with
+  | [] -> []
+  | diffs ->
+    [
+      D.error ~rule:"PLAN007" ~loc:kernel
+        ~hint:
+          "run the plan the tuner picked for this kernel and shape, or \
+           re-tune (the label names every axis, the signature the shape)"
+        (Printf.sprintf
+           "executed plan %s is not the tuned plan %s — %s: the launch was \
+            never priced, so bench rows and the Perf_model terms do not \
+            describe it"
+           (Autotune.Variants.label executed)
+           (Autotune.Variants.label tuned)
+           (String.concat "; " diffs));
+    ]
 
 (* The standard-suite pass: every catalog plan must verify. Since the
    stencil-tail fusion closed the PLAN005 gap, a clean catalog means

@@ -3,12 +3,12 @@
 
     - [PLAN001/002/006] effect and aliasing: pooled partitions must
       tile [0, n) disjointly, kernel outputs must never alias another
-      operand (static counterpart of FUSE002), steps must reference
-      declared buffers.
+      operand (static counterpart of [Linalg.Fused]'s runtime alias
+      guard), steps must reference declared buffers.
     - [PLAN003/004] transport windows: no write into a buffer whose
       halo post window is open (an error under zero-copy, where the
-      payload aliases the field in flight — HALO011/DET002 at plan
-      level; a warning under staged), and post/complete must balance.
+      payload aliases the field in flight — HALO011 at plan level; a
+      warning under staged), and post/complete must balance.
     - [PLAN005] model consistency: the IR's BLAS-1 sweep total must
       equal [Machine.Perf_model.blas1_sweeps] exactly. The historical
       stencil-tail exemption is gone — [Dirac.Wilson.hop_tail] /
@@ -21,7 +21,9 @@
       violations, stale-precision reads and malformed quantize
       points. The interval propagation assumes no catastrophic
       cancellation (the reliable-update scheme exists to bound exactly
-      that). *)
+      that).
+    - [PLAN007] tuning: the executed [Autotune.Variants.plan] must be
+      the tuned one on every axis ({!verify_tuned}). *)
 
 val rules : (string * string) list
 
@@ -50,6 +52,15 @@ val lint_fusion :
     model-priced; PLAN001/002 still vet). Pass as
     [Autotune.Variants.tune_fusion ~lint] so no plan the analyzer
     rejects can be priced or cached. *)
+
+val verify_tuned :
+  kernel:string ->
+  executed:Autotune.Variants.plan ->
+  tuned:Autotune.Variants.plan ->
+  Diagnostic.t list
+(** PLAN007: one error when the executed plan differs from the tuned
+    one, naming every axis that differs (mode, recon, k, rank,
+    geometry) with both values; empty when they agree. *)
 
 val catalog_diagnostics : unit -> Diagnostic.t list
 (** Verify every plan in {!Plan_extract.catalog} — the standard-suite

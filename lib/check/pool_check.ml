@@ -1,20 +1,19 @@
 (* Determinism checker for the multicore kernel engine (Util.Pool).
    A pooled kernel launch is summarized as a [plan] — kernel name,
-   element count, (domains, chunk) geometry, the chunk partition it
-   will execute, and how it combines reduction partials — and the pass
-   verifies the properties the engine's bit-stability contract rests
-   on:
+   element count, (domains, chunk) geometry, and how it combines
+   reduction partials — and the pass verifies the properties the
+   engine's bit-stability contract rests on:
 
    DET001  a reduction combined in completion order on a multi-domain
            launch: the result depends on scheduling, so repeated runs
            of norm2/cdot disagree in the last bits (the defect class
            Pool.parallel_reduce ~ordered:false exists to seed)
-   DET002  a chunk partition that overlaps or leaves a gap: overlap
-           means racing writes to the same elements, a gap means
-           silently unprocessed elements
    DET003  a pooled launch under the parallel cutoff (warning): the
            fork/join costs more than the parallelism recovers — the
-           tuner should have picked the serial variant *)
+           tuner should have picked the serial variant
+
+   Partition overlap or gap is proved statically on the plan IR by
+   Plan_check PLAN001. *)
 
 type reduction = Ordered | Completion_order
 
@@ -23,30 +22,17 @@ type plan = {
   n : int;  (* elements the launch must cover *)
   domains : int;
   chunk : int;
-  partition : (int * int) array;  (* [lo, hi) ranges, launch order *)
   reduction : reduction option;  (* None for map-only kernels *)
 }
 
 let rules =
   [
     ("DET001", "reduction partials combined in nondeterministic (completion) order");
-    ("DET002", "chunk partition overlaps or leaves a gap in [0, n)");
     ("DET003", "pooled launch below the parallel cutoff (wasted fork/join)");
   ]
 
-(* The honest constructor: the partition is what Pool.parallel_for
-   will actually execute for this (n, chunk). Hand-built partitions
-   (the DET002 fixture, or a future custom scheduler) go through the
-   record directly. *)
 let plan ?reduction ~kernel ~n ~domains ~chunk () =
-  {
-    kernel;
-    n;
-    domains;
-    chunk;
-    partition = Util.Pool.chunks ~n ~chunk;
-    reduction;
-  }
+  { kernel; n; domains; chunk; reduction }
 
 let loc p = Printf.sprintf "%s[n=%d,d=%d,c=%d]" p.kernel p.n p.domains p.chunk
 
@@ -63,40 +49,6 @@ let check_reduction p =
     ]
   | _ -> []
 
-(* The partition must tile [0, n) exactly: sorted by lo, each range
-   nonempty and in bounds, consecutive ranges meeting with neither
-   overlap (racing writes) nor gap (unprocessed elements). *)
-let check_partition p =
-  let ds = ref [] in
-  let err msg =
-    ds :=
-      Diagnostic.error ~rule:"DET002" ~loc:(loc p)
-        ~hint:"derive the partition with Pool.chunks ~n ~chunk" msg
-      :: !ds
-  in
-  let parts = Array.copy p.partition in
-  Array.sort (fun (a, _) (b, _) -> compare a b) parts;
-  let expected = ref 0 in
-  Array.iter
-    (fun (plo, phi) ->
-      if plo < 0 || phi > p.n then
-        err (Printf.sprintf "range [%d,%d) falls outside [0,%d)" plo phi p.n)
-      else if phi <= plo then
-        err (Printf.sprintf "empty or inverted range [%d,%d)" plo phi)
-      else if plo < !expected then
-        err
-          (Printf.sprintf "range [%d,%d) overlaps the previous range ending at %d"
-             plo phi !expected)
-      else if plo > !expected then
-        err
-          (Printf.sprintf "gap: elements [%d,%d) are covered by no chunk" !expected
-             plo);
-      expected := max !expected phi)
-    parts;
-  if p.n > 0 && !expected < p.n then
-    err (Printf.sprintf "gap: elements [%d,%d) are covered by no chunk" !expected p.n);
-  List.rev !ds
-
 let check_cutoff p =
   if p.domains > 1 && p.n < Linalg.Field.parallel_cutoff then
     [
@@ -112,6 +64,6 @@ let check_cutoff p =
     ]
   else []
 
-let verify_plan p = check_reduction p @ check_partition p @ check_cutoff p
+let verify_plan p = check_reduction p @ check_cutoff p
 
 let verify_plans ps = List.concat_map verify_plan ps

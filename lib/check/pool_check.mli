@@ -1,7 +1,8 @@
 (** Determinism checker for the multicore kernel engine: verifies that
-    a pooled launch plan tiles its index space exactly, combines
-    reduction partials in a deterministic order, and clears the
-    parallel cutoff. Rule ids [DET001]–[DET003]. *)
+    a pooled launch plan combines reduction partials in a
+    deterministic order and clears the parallel cutoff. Rule ids
+    [DET001] and [DET003]; partition tiling is proved on the plan IR
+    ([Plan_check] PLAN001). *)
 
 type reduction = Ordered | Completion_order
 
@@ -10,7 +11,6 @@ type plan = {
   n : int;  (** elements the launch must cover *)
   domains : int;
   chunk : int;
-  partition : (int * int) array;  (** [lo, hi) ranges, launch order *)
   reduction : reduction option;  (** [None] for map-only kernels *)
 }
 
@@ -24,9 +24,6 @@ val plan :
   chunk:int ->
   unit ->
   plan
-(** The honest constructor: the partition is [Util.Pool.chunks ~n
-    ~chunk] — exactly what [Pool.parallel_for] executes. Build the
-    record directly to describe a custom (or defective) partition. *)
 
 val verify_plan : plan -> Diagnostic.t list
 val verify_plans : plan list -> Diagnostic.t list

@@ -2,9 +2,9 @@
    (Linalg.Su3_codec / Lattice.Recon / Dirac.Wilson's packed stores and
    Vrank.Comm's compressed halo payloads). An execution is summarized
    as a [plan] — which kernel, the codec it streams links through, the
-   worst source-link unitarity violation, the codec of the tuner's
-   recorded winner, and the epoch bookkeeping of any compressed halo —
-   and the pass verifies the contract the reconstruction rests on:
+   worst source-link unitarity violation, and the epoch bookkeeping of
+   any compressed halo — and the pass verifies the contract the
+   reconstruction rests on:
 
    RECON001  a source link violates unitarity beyond the codec's
              tolerance: Recon12 rebuilds row 2 as s·conj(row0 × row1)
@@ -13,18 +13,13 @@
              matrix than was stored — the stencil silently applies the
              wrong gauge field (Full18's tolerance is infinite: it
              copies bits)
-   RECON002  the executed codec disagrees with the codec of the
-             tuner's recorded winner: a full18 winner aliased onto a
-             compressed launch (or vice versa) means the launch was
-             never priced at this link-traffic point, so bench rows
-             and the Perf_model recon traffic term
-             (Machine.Perf_model.link_bytes_per_site_recon) do not
-             describe what runs
    RECON003  a compressed halo face (or packed link store) built at an
              older gauge epoch than the live field: the wire delivered
              links that were since mutated (smearing, HMC update), so
              ghost links decode stale — the gauge-field twin of the
-             halo data race Halo_check hunts on spinors *)
+             halo data race Halo_check hunts on spinors
+
+   The executed codec vs the tuned one is Plan_check PLAN007. *)
 
 type plan = {
   kernel : string;  (* e.g. "wilson_hop_recon" *)
@@ -32,9 +27,6 @@ type plan = {
   max_violation : float;
       (* worst Frobenius unitarity violation over the source links
          (Lattice.Gauge.max_unitarity_violation) *)
-  tuned_recon : Linalg.Su3_codec.codec option;
-      (* codec of the tuner's recorded winner for this kernel and
-         shape; [None]: no tuning record, RECON002 is skipped *)
   gauge_epoch : int;  (* write epoch of the live gauge field *)
   halo_epoch : int;
       (* gauge epoch at which the packed store / compressed halo was
@@ -48,17 +40,15 @@ type plan = {
 let rules =
   [
     ("RECON001", "source links must be unitary within the codec tolerance");
-    ("RECON002", "executed codec must match the tuned winner's codec");
     ("RECON003", "compressed halo must be repacked after gauge mutation");
   ]
 
-let plan ?tuned_recon ?(gauge_epoch = 0) ?(halo_epoch = 0)
+let plan ?(gauge_epoch = 0) ?(halo_epoch = 0)
     ?(halo_compressed = false) ~kernel ~recon ~max_violation () =
   {
     kernel;
     recon;
     max_violation;
-    tuned_recon;
     gauge_epoch;
     halo_epoch;
     halo_compressed;
@@ -86,25 +76,6 @@ let check_unitarity p =
     ]
   else []
 
-let check_tuned p =
-  match p.tuned_recon with
-  | None -> []
-  | Some c when c = p.recon -> []
-  | Some c ->
-    [
-      Diagnostic.error ~rule:"RECON002" ~loc:(loc p)
-        ~hint:
-          "key the tuner cache on the codec (Variants.tune_hop_recon puts \
-           the codec in the label and the label-space hash in the \
-           signature) and re-tune at this codec"
-        (Printf.sprintf
-           "execution streams %s under a tuner winner recorded for %s: \
-            the launch was never priced at this link-traffic point, so \
-            bench rows and the Perf_model recon term do not describe it"
-           (Linalg.Su3_codec.name p.recon)
-           (Linalg.Su3_codec.name c));
-    ]
-
 let check_halo p =
   if p.halo_compressed && p.halo_epoch < p.gauge_epoch then
     [
@@ -130,11 +101,10 @@ let verify_gauge ~recon gauge =
       kernel = "gauge_audit";
       recon;
       max_violation = v;
-      tuned_recon = None;
       gauge_epoch = 0;
       halo_epoch = 0;
       halo_compressed = false;
     }
 
-let verify_plan p = check_unitarity p @ check_tuned p @ check_halo p
+let verify_plan p = check_unitarity p @ check_halo p
 let verify_plans ps = List.concat_map verify_plan ps

@@ -74,7 +74,7 @@ val hop_multi_with :
   unit
 (** [hop_multi] on an explicit pool with an explicit chunk (in sites)
     — the batch-width autotuner's pooled candidates
-    ([Autotune.Variants.tune_hop_multi]). *)
+    ([Autotune.Variants.tune_hop_recon]). *)
 
 val hop_tail :
   t ->

@@ -23,7 +23,7 @@
    storage, so distinct Bigarray handles over the same data are caught
    too. Element-local updates make most aliasings accidentally agree
    here, but the contract is what a vectorized or accelerator
-   implementation needs, and it is what [Check.Fuse_check] FUSE002
+   implementation needs, and it is what [Check.Plan_check] PLAN002
    verifies statically. *)
 
 open Bigarray
@@ -55,7 +55,7 @@ let check2 name a b =
    differs from [b.{0}]'s current bits by construction (lowest
    mantissa bit flipped), so a non-aliasing pair can never test
    positive. Overlaps that do not cover both elements 0 (staggered
-   sub-windows) still escape — FUSE002 models the full hazard
+   sub-windows) still escape — PLAN002 models the full hazard
    statically. *)
 let same_data (a : t) (b : t) =
   a == b
@@ -250,7 +250,7 @@ let tail ?xpay ~dot () = { t_xpay = xpay; t_dot = dot }
 (* Guard + shape check, called by the stencil front-ends before the
    launch: every tail operand spans the stencil output, and the xpay
    output must not alias the stencil's dst — the fused pass reads dst
-   as the xpay x-operand while writing out, the FUSE002 hazard the
+   as the xpay x-operand while writing out, the PLAN002 hazard the
    probing [same_data] rejects even across distinct handles. [q]
    aliasing dst or out is legal (read-only role — the monitor-dot
    idiom). *)
@@ -291,7 +291,7 @@ let tail_term tl ~(dst : t) lo hi =
    ground truth Check.Plan_extract builds fused-launch effects from,
    and the static mirror of the no_alias guards above — a plan whose
    output operand shares a buffer with any other position is the
-   FUSE002/PLAN002 hazard. Read/Read repetition (xpay_dot's q = x
+   PLAN002 hazard. Read/Read repetition (xpay_dot's q = x
    monitor) is legal and expected. *)
 let operand_roles = function
   | "axpy_norm2" -> Some [ ("x", false); ("y", true) ]

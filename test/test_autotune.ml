@@ -66,8 +66,9 @@ let test_tuner_save_load () =
   let path = Filename.temp_file "tunecache" ".tsv" in
   Tuner.save t path;
   let t2 = Tuner.create () in
-  Tuner.load t2 path;
+  let loaded = Tuner.load t2 path in
   Sys.remove path;
+  Alcotest.(check bool) "load succeeds" true (loaded = Ok ());
   (match Tuner.lookup t2 ~kernel:"k1" ~signature:"s1" with
   | Some e -> Alcotest.(check string) "winner persisted" "w" e.Tuner.winner
   | None -> Alcotest.fail "entry lost");
@@ -87,6 +88,41 @@ let test_tuner_save_load () =
   Alcotest.(check string) "stale winner re-tuned" "other" w';
   Alcotest.(check int) "stale entry forced a search" 1 (Tuner.tune_count t2)
 
+(* a malformed tunecache line is one typed error naming the file, the
+   line and the reason, and nothing of the file is loaded *)
+let load_lines lines =
+  let path = Filename.temp_file "tunecache" ".tsv" in
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  close_out oc;
+  let t = Tuner.create () in
+  let r = Tuner.load t path in
+  Sys.remove path;
+  (path, t, r)
+
+let good_line = "k1\ts1\tw\t1.0e-03\t2\t0.000"
+
+let test_tuner_load_truncated () =
+  let path, t, r = load_lines [ good_line; "k2\ts2\tw" ] in
+  (match r with
+  | Error e ->
+    Alcotest.(check string) "names the file" path e.Tuner.path;
+    Alcotest.(check int) "names the line" 2 e.Tuner.line;
+    Alcotest.(check string) "names the reason"
+      "expected 6 tab-separated fields, found 3" e.Tuner.reason
+  | Ok () -> Alcotest.fail "truncated line accepted");
+  Alcotest.(check int) "nothing loaded" 0 (List.length (Tuner.entries t))
+
+let test_tuner_load_bad_number () =
+  let path, t, r = load_lines [ "k1\ts1\tw\tfast\t2\t0.000"; good_line ] in
+  (match r with
+  | Error e ->
+    Alcotest.(check string) "error text"
+      (path ^ ":1: time_s \"fast\" is not a number")
+      (Tuner.load_error_to_string e)
+  | Ok () -> Alcotest.fail "non-numeric time_s accepted");
+  Alcotest.(check int) "nothing loaded" 0 (List.length (Tuner.entries t))
+
 let test_axpy_variants_agree () =
   let rng = Util.Rng.create 5 in
   let n = 1000 in
@@ -104,52 +140,122 @@ let test_axpy_variants_agree () =
         (Field.max_abs_diff y1 y2))
     Variants.axpy_variants
 
-let test_site_orders_are_permutations () =
-  let n = 100 in
-  List.iter
-    (fun (label, order) ->
-      let seen = Array.make n false in
-      Array.iter (fun s -> seen.(s) <- true) order;
-      Alcotest.(check int) (label ^ " length") n (Array.length order);
-      Alcotest.(check bool) (label ^ " covers all sites") true
-        (Array.for_all Fun.id seen))
-    (Variants.hop_orders n)
-
-let test_hop_orders_same_result () =
-  let geom = Lattice.Geometry.create [| 4; 4; 2; 2 |] in
-  let gauge = Lattice.Gauge.random geom (Util.Rng.create 9) in
-  let w = Dirac.Wilson.of_geometry geom gauge in
-  let n = Lattice.Geometry.volume geom * 24 in
-  let src = Field.create n in
-  Field.gaussian (Util.Rng.create 10) src;
-  let reference = Field.create n in
-  Dirac.Wilson.hop w ~src ~dst:reference;
-  List.iter
-    (fun (label, sites) ->
-      let dst = Field.create n in
-      Dirac.Wilson.hop_sites w ~sites ~src ~dst ();
-      Alcotest.(check (float 0.)) (label ^ " matches") 0.
-        (Field.max_abs_diff reference dst))
-    (Variants.hop_orders (Lattice.Geometry.volume geom))
-
-let test_tune_hop_returns_valid_order () =
+let test_tune_hop_returns_valid_plan () =
   let tuner = Tuner.create ~repeats:1 () in
   let geom = Lattice.Geometry.create [| 4; 4; 2; 2 |] in
   let gauge = Lattice.Gauge.unit geom in
   let w = Dirac.Wilson.of_geometry geom gauge in
-  let vol = Lattice.Geometry.volume geom in
-  let n = vol * 24 in
+  let n = Lattice.Geometry.volume geom * 24 in
   let src = Field.create n and dst = Field.create n in
   let label, plan = Variants.tune_hop tuner w ~src ~dst ~signature:"4422" in
-  match plan with
-  | Variants.Serial_order sites ->
-    Alcotest.(check bool) "label known" true
-      (List.mem_assoc label (Variants.hop_orders vol));
-    Alcotest.(check int) "sites cover volume" vol (Array.length sites)
-  | Variants.Pooled { domains; chunk } ->
-    Alcotest.(check bool) "pooled label" true
-      (label = Variants.geom_label "pool" (domains, chunk));
+  Alcotest.(check string) "label names the plan" (Variants.label plan) label;
+  Alcotest.(check bool) "only the geometry axis varies" true
+    ({ plan with Variants.geometry = None } = Variants.baseline);
+  match plan.Variants.geometry with
+  | None -> ()
+  | Some (domains, chunk) ->
     Alcotest.(check bool) "sane geometry" true (domains >= 2 && chunk >= 1)
+
+(* the one plan record over its full product space: the label is
+   injective, and every space built from any sub-product of the axes —
+   which is how each tune_* function builds its own — holds the
+   baseline, once, under its label *)
+let prop_one_plan =
+  let modes = Linalg.Fused.[ Unfused; Fused; Tail_fused ] in
+  let codecs = Linalg.Su3_codec.all in
+  let widths = [ 1; 2; 4; 8 ] and ranks = [ 0; 2; 4; 8 ] in
+  let pick mask l = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) l in
+  let product ms cs ws rs gs =
+    let ( let* ) l f = List.concat_map f l in
+    let* mode = ms in
+    let* recon = cs in
+    let* k = ws in
+    let* rank = rs in
+    let* geometry = gs in
+    [ { Variants.mode; recon; k; rank; geometry } ]
+  in
+  let distinct l = List.length (List.sort_uniq compare l) in
+  QCheck.Test.make ~count:200
+    ~name:"plan: label injective, baseline in every space"
+    QCheck.(
+      pair
+        (quad (int_bound 7) (int_bound 7) (int_bound 15) (int_bound 15))
+        (small_list (pair (int_range 2 8) (int_range 1 65536))))
+    (fun ((mm, cm, wm, rm), geometries) ->
+      let all =
+        product modes codecs widths ranks
+          (None :: List.map Option.some geometries)
+      in
+      let sp =
+        Variants.space
+          (product (pick mm modes) (pick cm codecs) (pick wm widths)
+             (pick rm ranks) [ None ])
+          ~geometries
+      in
+      distinct (List.map Variants.label all) = distinct all
+      && List.assoc_opt (Variants.label Variants.baseline) sp
+         = Some Variants.baseline
+      && List.for_all (fun (l, p) -> l = Variants.label p) sp
+      && distinct (List.map fst sp) = List.length sp)
+
+(* each tune_* function's live space holds the baseline — even with
+   its axis restricted away from the baseline value (a recon12-only
+   codec list, a rank-4-only rank list, a lint rejecting everything):
+   a tunecache whose winner is the baseline label is served as a cache
+   hit, which Tuner.tune only does for a label among the live
+   candidates *)
+let test_tune_spaces_hold_baseline () =
+  let geom = Lattice.Geometry.create [| 4; 4; 2; 2 |] in
+  let gauge = Lattice.Gauge.random geom (Util.Rng.create 12) in
+  let w = Dirac.Wilson.of_geometry geom gauge in
+  let n = Lattice.Geometry.volume geom * 24 in
+  let fields () = Array.init 2 (fun _ -> Field.create n) in
+  let srcs = fields () and dsts = fields () in
+  let dn = 32 in
+  let apply (x : Field.t) (y : Field.t) =
+    for i = 0 to dn - 1 do
+      Bigarray.Array1.set y i
+        ((0.1 +. float_of_int i) *. Bigarray.Array1.get x i)
+    done
+  in
+  let base = Variants.label Variants.baseline in
+  List.iter
+    (fun (name, tune) ->
+      let t = Tuner.create ~repeats:1 () in
+      ignore (tune t : string * Variants.plan);
+      let e = List.hd (Tuner.entries t) in
+      let _, t', r =
+        load_lines
+          [
+            Printf.sprintf "%s\t%s\t%s\t1e-09\t1\t0" e.Tuner.kernel
+              e.Tuner.signature base;
+          ]
+      in
+      Alcotest.(check bool) (name ^ " cache loads") true (r = Ok ());
+      let winner, plan = tune t' in
+      Alcotest.(check string) (name ^ " serves the baseline") base winner;
+      Alcotest.(check bool) (name ^ " baseline plan") true
+        (plan = Variants.baseline);
+      Alcotest.(check int) (name ^ " without a search") 0 (Tuner.tune_count t'))
+    [
+      ( "tune_hop",
+        fun t -> Variants.tune_hop ~max_domains:2 t w ~src:srcs.(0) ~dst:dsts.(0)
+            ~signature:"s" );
+      ( "tune_fusion",
+        fun t ->
+          Variants.tune_fusion ~max_domains:2
+            ~lint:(fun ~mode:_ ~geometry:_ -> Some "rejected")
+            t ~n:4096 );
+      ( "tune_hop_recon",
+        fun t ->
+          Variants.tune_hop_recon ~max_domains:2
+            ~codecs:[ Linalg.Su3_codec.Recon12 ] t geom gauge ~srcs ~dsts
+            ~signature:"s" );
+      ( "tune_deflation",
+        fun t ->
+          Variants.tune_deflation ~ranks:[ 4 ] ~solves:1 t ~apply ~n:dn
+            ~signature:"s" );
+    ]
 
 let test_pool_geometries_shape () =
   let geoms = Variants.pool_geometries ~max_domains:8 ~n:(1 lsl 20) () in
@@ -265,10 +371,14 @@ let suite =
     Alcotest.test_case "tuner picks faster" `Quick test_tuner_picks_faster;
     Alcotest.test_case "backup/restore" `Quick test_tuner_backup_restore;
     Alcotest.test_case "save/load" `Quick test_tuner_save_load;
+    Alcotest.test_case "load: truncated line" `Quick test_tuner_load_truncated;
+    Alcotest.test_case "load: non-numeric time_s" `Quick
+      test_tuner_load_bad_number;
     Alcotest.test_case "axpy variants agree" `Quick test_axpy_variants_agree;
-    Alcotest.test_case "site orders permute" `Quick test_site_orders_are_permutations;
-    Alcotest.test_case "hop orders same result" `Quick test_hop_orders_same_result;
-    Alcotest.test_case "tune_hop valid" `Quick test_tune_hop_returns_valid_order;
+    Alcotest.test_case "tune_hop valid" `Quick test_tune_hop_returns_valid_plan;
+    QCheck_alcotest.to_alcotest prop_one_plan;
+    Alcotest.test_case "every tune space holds the baseline" `Quick
+      test_tune_spaces_hold_baseline;
     Alcotest.test_case "pool geometries" `Quick test_pool_geometries_shape;
     Alcotest.test_case "tune_axpy key isolation" `Quick test_tune_axpy_key_isolation;
     Alcotest.test_case "tune_hop key isolation" `Quick test_tune_hop_key_isolation;

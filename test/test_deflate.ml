@@ -295,19 +295,20 @@ let test_combined_guess () =
 
 (* ---------- tuning axis ---------- *)
 
+(* the rank space tune_deflation builds from a rank list *)
+let rank_space ranks =
+  let module V = Autotune.Variants in
+  V.space (List.map (fun rank -> { V.baseline with V.rank }) ranks) ~geometries:[]
+
 let test_deflation_space_baseline () =
-  let labels =
-    List.map fst (Autotune.Variants.deflation_space ~solves:24 ())
-  in
+  let labels = List.map fst (rank_space [ 0; 2; 4; 8 ]) in
   Alcotest.(check bool)
     "rank-0 undeflated baseline present" true
-    (List.mem "defl_r0_s24" labels);
-  let labels8 =
-    List.map fst (Autotune.Variants.deflation_space ~ranks:[ 8 ] ~solves:6 ())
-  in
+    (List.mem "unfused_full18_k1_r0_serial" labels);
+  let labels8 = List.map fst (rank_space [ 8 ]) in
   Alcotest.(check (list string))
     "baseline survives a custom rank list"
-    [ "defl_r0_s6"; "defl_r8_s6" ]
+    [ "unfused_full18_k1_r0_serial"; "unfused_full18_k1_r8_serial" ]
     labels8
 
 let test_tune_deflation () =
@@ -320,12 +321,11 @@ let test_tune_deflation () =
   in
   Alcotest.(check string)
     "winner label carries the plan's rank"
-    (Autotune.Variants.deflation_label plan)
+    (Autotune.Variants.label plan)
     winner;
   Alcotest.(check bool)
     "winner is in the candidate space" true
-    (List.mem winner
-       (List.map fst (Autotune.Variants.deflation_space ~solves:4 ())));
+    (List.mem winner (List.map fst (rank_space [ 0; 2; 4; 8 ])));
   (* the cache key names the campaign shape: same signature hits, a
      different solve count misses *)
   let w2, _ =
@@ -387,40 +387,44 @@ let test_perf_model_amortization () =
 
 (* ---------- checker ---------- *)
 
-let clean_plan ?(rank = 4) ?tuned_rank () =
-  DC.plan ?tuned_rank ~kernel:"cg_deflate" ~rank ~n:192 ~space_hash:0x5eed
-    ~config_hash:0x5eed ~ortho_drift:1e-14 ~max_residual:1e-9 ~bound:1e-6 ()
+let clean_plan =
+  DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x5eed
+    ~config_hash:0x5eed ~ortho_drift:1e-14 ~max_residual:1e-9 ~bound:1e-6
 
 let rules_of ds = List.map (fun d -> d.Check.Diagnostic.rule) ds
 
 let test_deflate_check_rules () =
   Alcotest.(check (list string))
     "clean plan is silent" []
-    (rules_of (DC.verify_plan (clean_plan ~tuned_rank:4 ())));
+    (rules_of (DC.verify_plan clean_plan));
   Alcotest.(check (list string))
     "stale space fires DEF001" [ "DEF001" ]
     (rules_of
        (DC.verify_plan
           (DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x01d
              ~config_hash:0x5eed ~ortho_drift:1e-14 ~max_residual:1e-9
-             ~bound:1e-6 ())));
+             ~bound:1e-6)));
   Alcotest.(check (list string))
     "drift and residual each fire DEF002" [ "DEF002"; "DEF002" ]
     (rules_of
        (DC.verify_plan
           (DC.plan ~kernel:"cg_deflate" ~rank:4 ~n:192 ~space_hash:0x5eed
              ~config_hash:0x5eed ~ortho_drift:1e-3 ~max_residual:1e-2
-             ~bound:1e-6 ())));
+             ~bound:1e-6)));
+  let module V = Autotune.Variants in
   Alcotest.(check (list string))
-    "rank mismatch fires DEF003" [ "DEF003" ]
-    (rules_of (DC.verify_plan (clean_plan ~rank:8 ~tuned_rank:4 ())))
+    "rank mismatch fires PLAN007" [ "PLAN007" ]
+    (rules_of
+       (Check.Plan_check.verify_tuned ~kernel:"cg_deflate"
+          ~executed:{ V.baseline with V.rank = 8 }
+          ~tuned:{ V.baseline with V.rank = 4 }))
 
 let test_verify_space_live () =
   let apply, space = space_of ~hash:0xfeed () in
   Alcotest.(check (list string))
     "live clean space is silent" []
     (rules_of
-       (DC.verify_space ~tuned_rank:4 ~config_hash:0xfeed ~apply space));
+       (DC.verify_space ~config_hash:0xfeed ~apply space));
   Alcotest.(check (list string))
     "live stale space fires DEF001" [ "DEF001" ]
     (rules_of (DC.verify_space ~config_hash:0xbad ~apply space))
@@ -436,7 +440,7 @@ let test_fixtures_detected () =
           (Printf.sprintf "%s fires %s" name f.Check.Fixtures.expect)
           true
           (List.mem f.Check.Fixtures.expect fired))
-    [ "deflate-stale-space"; "deflate-drifted-basis"; "deflate-rank-mismatch" ]
+    [ "deflate-stale-space"; "deflate-drifted-basis"; "plan-untuned" ]
 
 let test_plan_catalog_entry () =
   match Check.Plan_extract.find "deflate" with
@@ -508,7 +512,7 @@ let suite =
       test_perf_model_setup;
     Alcotest.test_case "perf model: amortization and break-even" `Quick
       test_perf_model_amortization;
-    Alcotest.test_case "deflate_check: DEF001-003 on static plans" `Quick
+    Alcotest.test_case "deflate_check: DEF001-002 and PLAN007 on static plans" `Quick
       test_deflate_check_rules;
     Alcotest.test_case "verify_space: live audit" `Quick test_verify_space_live;
     Alcotest.test_case "seeded deflate fixtures detected" `Quick

@@ -149,7 +149,7 @@ let prop_hop_tail_bit_identical =
         s = s_ref && bytes_equal dst dst_ref
       end)
 
-(* the runtime twin of the FUSE002/PLAN002 tail-alias fixtures: a tail
+(* the runtime twin of the PLAN002 tail-alias fixture: a tail
    whose xpay output is the stencil dst must be rejected before launch *)
 let test_hop_tail_alias_guard () =
   let geom = Lattice.Geometry.create [| 4; 4; 4; 4 |] in
@@ -386,6 +386,14 @@ let test_alias_guards () =
 
 (* ---- autotuner: fusion axis ---- *)
 
+(* the mode x geometry space tune_fusion builds *)
+let fusion_space geometries =
+  Variants.space
+    (List.map
+       (fun mode -> { Variants.baseline with Variants.mode })
+       Fused.[ Unfused; Fused; Tail_fused ])
+    ~geometries
+
 (* the winner the tuner picks must not lose to the always-present
    serial-unfused baseline (1.5x noise margin: these are real timings
    on a shared box) *)
@@ -394,7 +402,7 @@ let test_tuner_honesty () =
   let tuner = Autotune.Tuner.create () in
   let winner, plan = Variants.tune_fusion tuner ~n in
   Alcotest.(check bool) "winner is in the space" true
-    (List.mem_assoc winner (Variants.fusion_space ~n ()));
+    (List.mem_assoc winner (fusion_space (Variants.pool_geometries ~n ())));
   let p = mk_vec 71 n and ap = mk_vec 72 n in
   let x = mk_vec 73 n and r = mk_vec 74 n in
   let time f =
@@ -408,12 +416,12 @@ let test_tuner_honesty () =
     done;
     !best
   in
-  let baseline = { Variants.mode = Fused.Unfused; geometry = None } in
   let t_base =
-    time (fun () -> ignore (Variants.run_fusion_plan baseline ~p ~ap ~x ~r : float))
+    time (fun () ->
+        ignore (Variants.run_cg_tail Variants.baseline ~p ~ap ~x ~r : float))
   in
   let t_win =
-    time (fun () -> ignore (Variants.run_fusion_plan plan ~p ~ap ~x ~r : float))
+    time (fun () -> ignore (Variants.run_cg_tail plan ~p ~ap ~x ~r : float))
   in
   Alcotest.(check bool)
     (Printf.sprintf "winner %s (%.0fns) not slower than baseline (%.0fns) \
@@ -425,16 +433,22 @@ let test_fusion_space_and_cache_keys () =
   (* all three serial modes are always present, labels are unique, and
      every label leads with its plan's mode_name — the three modes are
      labelled disjointly so cached winners can never alias *)
-  let space = Variants.fusion_space ~max_domains:4 ~n:(1 lsl 16) () in
+  let space =
+    fusion_space (Variants.pool_geometries ~max_domains:4 ~n:(1 lsl 16) ())
+  in
   let labels = List.map fst space in
   List.iter
     (fun l ->
       Alcotest.(check bool) (l ^ " present") true (List.mem l labels))
-    [ "unfused_serial"; "fused_serial"; "tailfused_serial" ];
+    [
+      "unfused_full18_k1_r0_serial";
+      "fused_full18_k1_r0_serial";
+      "tailfused_full18_k1_r0_serial";
+    ];
   Alcotest.(check int) "labels unique" (List.length labels)
     (List.length (List.sort_uniq compare labels));
   List.iter
-    (fun (label, (plan : Variants.fusion_plan)) ->
+    (fun (label, (plan : Variants.plan)) ->
       let prefix = Fused.mode_name plan.Variants.mode in
       let plen = String.length prefix in
       Alcotest.(check bool) (label ^ " label encodes its mode") true

@@ -329,12 +329,15 @@ let test_mixed_solve_multi_matches_singles () =
 (* ---------- batch width in the tuner signature ---------- *)
 
 let test_tuner_signature_includes_batch_width () =
-  let geom, w = wilson_setup [| 2; 2; 2; 4 |] in
+  let geom = Lattice.Geometry.create [| 2; 2; 2; 4 |] in
+  let gauge = Gauge.random geom (rng ()) in
   let n = Lattice.Geometry.volume geom * Wilson.floats_per_site in
   let r = rng () in
   let t = Autotune.Tuner.create ~repeats:1 () in
+  (* the batch-width axis alone: tune_hop_recon on the full18 codec *)
   let tune kmax =
-    Autotune.Variants.tune_hop_multi ~max_domains:2 t w
+    Autotune.Variants.tune_hop_recon ~max_domains:2
+      ~codecs:[ Linalg.Su3_codec.Full18 ] t geom gauge
       ~srcs:(batch_of r kmax n)
       ~dsts:(Array.init kmax (fun _ -> Field.create n))
       ~signature:"test"
@@ -390,7 +393,7 @@ let test_perf_model_mrhs_formulas () =
 
 (* ---------- plan catalog entries ---------- *)
 
-let test_mrhs_plans_clean_and_priced () =
+let test_mrhs_catalog_clean_and_priced () =
   let module PE = Check.Plan_extract in
   let module PC = Check.Plan_check in
   (* the fused batched tail executes exactly the 2 sweeps the model
@@ -420,10 +423,9 @@ let test_mrhs_check_rules () =
   let module M = Check.Mrhs_check in
   let clean =
     M.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:1024
-      ~block:Linalg.Field.reduce_block ~tuned_k:4
+      ~block:Linalg.Field.reduce_block
       ~active:[| true; false; true; true |]
       ~converged:[| false; true; false; false |]
-      ()
   in
   Alcotest.(check int) "clean mrhs plan" 0 (List.length (M.verify_plan clean));
   let fired rule p =
@@ -436,22 +438,21 @@ let test_mrhs_check_rules () =
        (M.plan ~kernel:"multi_cg_update" ~k:2 ~n:1024
           ~block:Linalg.Field.reduce_block
           ~active:[| true; true |]
-          ~converged:[| false; true |]
-          ()));
+          ~converged:[| false; true |]));
   Alcotest.(check bool) "MRHS002 fires" true
     (fired "MRHS002"
        (M.plan ~kernel:"wilson_hop_multi" ~k:4 ~n:1024
           ~block:Linalg.Field.reduce_block
           ~active:[| true; true |]
-          ~converged:[| false; false |]
-          ()));
-  Alcotest.(check bool) "MRHS003 fires" true
-    (fired "MRHS003"
-       (M.plan ~kernel:"wilson_hop_multi" ~k:8 ~n:1024
-          ~block:Linalg.Field.reduce_block ~tuned_k:1
-          ~active:(Array.make 8 true)
-          ~converged:(Array.make 8 false)
-          ()))
+          ~converged:[| false; false |]));
+  (* a batch width other than the tuned one is the all-axis PLAN007 *)
+  let module V = Autotune.Variants in
+  Alcotest.(check bool) "PLAN007 fires on a width mismatch" true
+    (List.exists
+       (fun (d : Check.Diagnostic.t) -> d.Check.Diagnostic.rule = "PLAN007")
+       (Check.Plan_check.verify_tuned ~kernel:"wilson_hop_multi"
+          ~executed:{ V.baseline with V.k = 8 }
+          ~tuned:V.baseline))
 
 let test_shutdown () = Util.Pool.shutdown_shared ()
 
@@ -483,7 +484,7 @@ let suite =
     Alcotest.test_case "perf_model: amortized link traffic formulas" `Quick
       test_perf_model_mrhs_formulas;
     Alcotest.test_case "plan: multi-RHS catalog entries priced clean" `Quick
-      test_mrhs_plans_clean_and_priced;
+      test_mrhs_catalog_clean_and_priced;
     Alcotest.test_case "mrhs_check: rules fire and clean plan passes" `Quick
       test_mrhs_check_rules;
     Alcotest.test_case "pool shutdown" `Quick test_shutdown;

@@ -336,14 +336,19 @@ let test_lint_fusion () =
   (* every real candidate — all three modes crossed with the pool
      geometries — lints clean *)
   List.iter
-    (fun (label, (plan : Autotune.Variants.fusion_plan)) ->
+    (fun (label, (plan : Autotune.Variants.plan)) ->
       Alcotest.(check (list string))
         (Printf.sprintf "candidate %s lints clean" label)
         []
         (rules
            (Pc.lint_fusion ~n:65536 ~mode:plan.Autotune.Variants.mode
               ~geometry:plan.Autotune.Variants.geometry)))
-    (Autotune.Variants.fusion_space ~max_domains:4 ~n:65536 ());
+    Autotune.Variants.(
+      space
+        (List.map
+           (fun mode -> { baseline with mode })
+           Linalg.Fused.[ Unfused; Fused; Tail_fused ])
+        ~geometries:(pool_geometries ~max_domains:4 ~n:65536 ()));
   (* a degenerate geometry is rejected by the analyzer, in every mode *)
   List.iter
     (fun mode ->
@@ -385,7 +390,7 @@ let test_tune_fusion_lints_before_cache () =
       (Autotune.Tuner.create ()) ~n:4096
   in
   Alcotest.(check string) "baseline survives a reject-all lint"
-    "unfused_serial" winner_base;
+    "unfused_full18_k1_r0_serial" winner_base;
   if
     plan_base.Autotune.Variants.mode <> Linalg.Fused.Unfused
     || plan_base.Autotune.Variants.geometry <> None

@@ -136,6 +136,11 @@ let test_hop_bit_identical_across_pools () =
 let fired rule ds =
   List.exists (fun (d : Check.Diagnostic.t) -> d.Check.Diagnostic.rule = rule) ds
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_recon_check_rules () =
   let module R = Check.Recon_check in
   let geom = Geometry.create [| 2; 2; 2; 4 |] in
@@ -158,12 +163,22 @@ let test_recon_check_rules () =
     (List.length (R.verify_gauge ~recon:Codec.Full18 bad));
   Alcotest.(check bool) "recon12 flags them" true
     (fired "RECON001" (R.verify_gauge ~recon:Codec.Recon12 bad));
-  (* plan rules *)
-  Alcotest.(check bool) "RECON002 fires" true
-    (fired "RECON002"
-       (R.verify_plan
-          (R.plan ~kernel:"wilson_hop_recon" ~recon:Codec.Recon12
-             ~tuned_recon:Codec.Full18 ~max_violation:0. ())));
+  (* plan rules: an executed codec other than the tuned one is the
+     all-axis PLAN007, which names the recon axis *)
+  let module V = Autotune.Variants in
+  let mismatch =
+    Check.Plan_check.verify_tuned ~kernel:"wilson_hop_recon"
+      ~executed:{ V.baseline with V.recon = Codec.Recon12 }
+      ~tuned:V.baseline
+  in
+  Alcotest.(check bool) "PLAN007 fires on a codec mismatch" true
+    (fired "PLAN007" mismatch);
+  Alcotest.(check bool) "and names the recon axis" true
+    (List.exists
+       (fun (d : Check.Diagnostic.t) ->
+         contains d.Check.Diagnostic.message
+           "recon (executed recon12, tuned full18)")
+       mismatch);
   Alcotest.(check bool) "RECON003 fires" true
     (fired "RECON003"
        (R.verify_plan
@@ -174,8 +189,11 @@ let test_recon_check_rules () =
     (List.length
        (R.verify_plan
           (R.plan ~kernel:"wilson_hop_recon" ~recon:Codec.Recon12
-             ~tuned_recon:Codec.Recon12 ~max_violation:0. ~gauge_epoch:2
-             ~halo_epoch:2 ~halo_compressed:true ())))
+             ~max_violation:0. ~gauge_epoch:2 ~halo_epoch:2
+             ~halo_compressed:true ())
+       @ Check.Plan_check.verify_tuned ~kernel:"wilson_hop_recon"
+           ~executed:{ V.baseline with V.recon = Codec.Recon12 }
+           ~tuned:{ V.baseline with V.recon = Codec.Recon12 }))
 
 let test_recon_fixtures_fire () =
   List.iter
@@ -188,13 +206,13 @@ let test_recon_fixtures_fire () =
           (fired rule (f.Check.Fixtures.run ())))
     [
       ("recon-nonunitary-link", "RECON001");
-      ("recon-tuned-mismatch", "RECON002");
+      ("plan-untuned", "PLAN007");
       ("recon-stale-halo", "RECON003");
     ]
 
 (* ---------- plan IR: Su3 precision tag ---------- *)
 
-let test_recon_plan_ir () =
+let test_su3_precision_ir () =
   let module PI = Check.Plan_ir in
   let module PC = Check.Plan_check in
   let module PE = Check.Plan_extract in
@@ -292,15 +310,22 @@ let test_compress_breakdown () =
 
 let test_recon_space_and_labels () =
   let module V = Autotune.Variants in
-  Alcotest.(check string) "pooled label" "recon12_k4_d2_c4096"
-    (V.recon_label
-       { V.recon = Codec.Recon12; rk = 4; rgeometry = Some (2, 4096) });
-  Alcotest.(check string) "serial label" "recon8_k2_serial"
-    (V.recon_label { V.recon = Codec.Recon8; rk = 2; rgeometry = None });
-  let space = V.recon_space ~sites:4096 () in
+  Alcotest.(check string) "pooled label" "unfused_recon12_k4_r0_d2_c4096"
+    (V.label
+       { V.baseline with V.recon = Codec.Recon12; k = 4; geometry = Some (2, 4096) });
+  Alcotest.(check string) "serial label" "unfused_recon8_k2_r0_serial"
+    (V.label { V.baseline with V.recon = Codec.Recon8; k = 2 });
+  (* the codec x width space tune_hop_recon builds *)
+  let space =
+    V.space
+      (List.concat_map
+         (fun recon -> List.map (fun k -> { V.baseline with V.recon; k }) [ 1; 2; 4; 8 ])
+         Codec.all)
+      ~geometries:(V.pool_geometries ~chunk_floor:16 ~n:4096 ())
+  in
   let labels = List.map fst space in
   Alcotest.(check bool) "uncompressed serial baseline present" true
-    (List.mem "full18_k1_serial" labels);
+    (List.mem "unfused_full18_k1_r0_serial" labels);
   Alcotest.(check int) "labels distinct"
     (List.length labels)
     (List.length (List.sort_uniq compare labels));
@@ -376,7 +401,7 @@ let suite =
     Alcotest.test_case "recon_check: seeded fixtures fire" `Quick
       test_recon_fixtures_fire;
     Alcotest.test_case "plan: su3 precision tag and PREC004" `Quick
-      test_recon_plan_ir;
+      test_su3_precision_ir;
     Alcotest.test_case "perf_model: recon link-byte pricing" `Quick
       test_recon_pricing;
     Alcotest.test_case "perf_model: compressed-wire breakdown" `Quick
