@@ -65,7 +65,7 @@ let run ?(out = "BENCH_kernels.json") () =
         ignore (Field.norm2 r : float))
       ~fused:(fun () -> ignore (Fused.cg_update alpha p ap x r : float))
       ~fused_pooled:(fun pool c ->
-        ignore (Fused.cg_update_with pool ~chunk:c alpha p ap x r : float))
+        ignore (Fused.cg_update ~pool ~chunk:c alpha p ap x r : float))
   in
   (* xpay_dot vs xpay + dot_re *)
   let xpay_dot_rows =
@@ -75,7 +75,7 @@ let run ?(out = "BENCH_kernels.json") () =
         ignore (Field.dot_re p r : float))
       ~fused:(fun () -> ignore (Fused.xpay_dot r beta p r : float))
       ~fused_pooled:(fun pool c ->
-        ignore (Fused.xpay_dot_with pool ~chunk:c r beta p r : float))
+        ignore (Fused.xpay_dot ~pool ~chunk:c r beta p r : float))
   in
   (* axpy_norm2 vs axpy + norm2 *)
   let axpy_norm2_rows =
@@ -85,7 +85,7 @@ let run ?(out = "BENCH_kernels.json") () =
         ignore (Field.norm2 r : float))
       ~fused:(fun () -> ignore (Fused.axpy_norm2 alpha p r : float))
       ~fused_pooled:(fun pool c ->
-        ignore (Fused.axpy_norm2_with pool ~chunk:c alpha p r : float))
+        ignore (Fused.axpy_norm2 ~pool ~chunk:c alpha p r : float))
   in
   (* caxpy_norm2 vs caxpy + norm2 *)
   let caxpy_norm2_rows =
@@ -95,7 +95,7 @@ let run ?(out = "BENCH_kernels.json") () =
         ignore (Field.norm2 r : float))
       ~fused:(fun () -> ignore (Fused.caxpy_norm2 (1e-3, -1e-3) p r : float))
       ~fused_pooled:(fun pool c ->
-        ignore (Fused.caxpy_norm2_with pool ~chunk:c (1e-3, -1e-3) p r : float))
+        ignore (Fused.caxpy_norm2 ~pool ~chunk:c (1e-3, -1e-3) p r : float))
   in
   (* whole-solve: CG against a diagonal SPD operator big enough that
      the BLAS-1 tail is the entire cost — the end-to-end view of the

@@ -66,13 +66,13 @@ let run ?(out = "BENCH_kernels.json") () =
   let serial_pool = Pool.shared ~domains:1 in
   let axpy_rows =
     bench_kernel ~kernel:"axpy" ~n
-      ~serial:(fun () -> Field.axpy_with serial_pool 1.000001 x y)
-      ~pooled:(fun p c -> Field.axpy_with p ~chunk:c 1.000001 x y)
+      ~serial:(fun () -> Field.axpy ~pool:serial_pool 1.000001 x y)
+      ~pooled:(fun p c -> Field.axpy ~pool:p ~chunk:c 1.000001 x y)
   in
   let norm2_rows =
     bench_kernel ~kernel:"norm2" ~n
-      ~serial:(fun () -> ignore (Field.norm2_with serial_pool x))
-      ~pooled:(fun p c -> ignore (Field.norm2_with p ~chunk:c x))
+      ~serial:(fun () -> ignore (Field.norm2 ~pool:serial_pool x))
+      ~pooled:(fun p c -> ignore (Field.norm2 ~pool:p ~chunk:c x))
   in
   let geom = Lattice.Geometry.create [| 8; 8; 8; 8 |] in
   let gauge = Lattice.Gauge.warm geom (Util.Rng.create 13) ~eps:0.3 in
@@ -96,8 +96,8 @@ let run ?(out = "BENCH_kernels.json") () =
          (fun (d, c) ->
            let t =
              time_ns (fun () ->
-                 Dirac.Wilson.hop_with (Pool.shared ~domains:d) ~chunk:c w ~src
-                   ~dst)
+                 Dirac.Wilson.hop ~pool:(Pool.shared ~domains:d) ~chunk:c w
+                   ~src ~dst)
            in
            {
              kernel = "wilson_hop";

@@ -43,15 +43,15 @@ let run ?(out = "BENCH_kernels.json") () =
   (* one operator per codec, same geometry and gauge: each owns its
      packed store, the stencil tables are identical *)
   let ops = List.map (fun c -> (c, Wilson.of_geometry ~recon:c geom gauge)) Codec.all in
-  let hop_with w () =
+  let hop_batch w () =
     Autotune.Variants.(run_hop_batch { baseline with k = kbench }) w ~srcs
       ~dsts
   in
-  let t_full = time_ns (hop_with (List.assoc Codec.Full18 ops)) in
+  let t_full = time_ns (hop_batch (List.assoc Codec.Full18 ops)) in
   let hop_rows =
     List.map
       (fun (c, w) ->
-        let t = if c = Codec.Full18 then t_full else time_ns (hop_with w) in
+        let t = if c = Codec.Full18 then t_full else time_ns (hop_batch w) in
         {
           kernel = "wilson_hop_recon";
           n = vol;

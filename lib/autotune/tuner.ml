@@ -33,19 +33,41 @@ type 'a candidate = { label : string; run : 'a }
 
 let candidate label run = { label; run }
 
-(* Median-of-repeats timing of one candidate. *)
+(* The repeat timings of one candidate. *)
 let time_candidate t ~backup ~restore (c : (unit -> unit) candidate) =
-  let samples =
-    Array.init t.repeats (fun _ ->
-        backup ();
-        let t0 = Unix.gettimeofday () in
-        c.run ();
-        let dt = Unix.gettimeofday () -. t0 in
-        restore ();
-        dt)
-  in
-  Array.sort compare samples;
-  samples.(t.repeats / 2)
+  Array.init t.repeats (fun _ ->
+      backup ();
+      let t0 = Unix.gettimeofday () in
+      c.run ();
+      let dt = Unix.gettimeofday () -. t0 in
+      restore ();
+      dt)
+
+let median samples =
+  let s = Array.copy samples in
+  Array.sort compare s;
+  s.(Array.length s / 2)
+
+(* The winner, as a pure function of the timings. The first candidate
+   is the baseline (every Variants space lists it first): it keeps the
+   win unless the fastest challenger's median beats its median by more
+   than the baseline's own repeat spread (max - min of its samples). A
+   gap inside the baseline's noise is no evidence, so without the
+   margin the winner would follow the noise. *)
+let choose = function
+  | [] -> invalid_arg "Tuner.choose: no candidates"
+  | (base, samples) :: challengers ->
+    let base_t = median samples in
+    let spread =
+      Array.fold_left Float.max neg_infinity samples
+      -. Array.fold_left Float.min infinity samples
+    in
+    let fastest (bl, bt) (l, s) =
+      let m = median s in
+      if m < bt then (l, m) else (bl, bt)
+    in
+    let best, best_t = List.fold_left fastest (base, base_t) challengers in
+    if base_t -. best_t > spread then (best, best_t) else (base, base_t)
 
 let default_hook () = ()
 
@@ -70,11 +92,7 @@ let tune ?(backup = default_hook) ?(restore = default_hook) t ~kernel ~signature
     let timed =
       List.map (fun c -> (c.label, time_candidate t ~backup ~restore c)) candidates
     in
-    let winner, time_s =
-      List.fold_left
-        (fun (bl, bt) (l, dt) -> if dt < bt then (l, dt) else (bl, bt))
-        (List.hd timed) (List.tl timed)
-    in
+    let winner, time_s = choose timed in
     Hashtbl.replace t.cache key
       {
         kernel;

@@ -15,7 +15,7 @@ type entry = {
 type t
 
 val create : ?repeats:int -> unit -> t
-(** [repeats] timing repetitions per candidate (default 3, median). *)
+(** [repeats] timing repetitions per candidate (default 3). *)
 
 type 'a candidate = { label : string; run : 'a }
 
@@ -29,11 +29,20 @@ val tune :
   signature:string ->
   (unit -> unit) candidate list ->
   string
-(** Winning label: measured on first encounter, cache hit after. A
+(** Winning label ({!choose} over each candidate's repeat timings):
+    measured on first encounter, cache hit after. A
     cached winner whose label no longer names a live candidate (a
     stale tunecache from before a variant-space change) is not served:
     the search re-runs and overwrites the entry.
     @raise Invalid_argument on an empty candidate list. *)
+
+val choose : (string * float array) list -> string * float
+(** [choose timed]: the winner among [(label, timing samples)] and its
+    median time — the rule {!tune} applies. The first candidate is the
+    baseline: it keeps the win unless a challenger's median beats its
+    median by more than the baseline's own repeat spread (max − min of
+    its samples); otherwise the fastest median wins.
+    @raise Invalid_argument on an empty list. *)
 
 val lookup : t -> kernel:string -> signature:string -> entry option
 val entries : t -> entry list

@@ -176,7 +176,7 @@ let tune_hop ?max_domains tuner (w : Dirac.Wilson.t) ~(src : Field.t)
         ~geometries:(pool_geometries ~max_domains:dmax ~chunk_floor:16 ~n ()))
     ~run:(fun p ->
       let pool, chunk = launch p in
-      Dirac.Wilson.hop_with pool ?chunk w ~src ~dst)
+      Dirac.Wilson.hop ~pool ?chunk w ~src ~dst)
 
 (* One CG BLAS-1 tail iteration under a plan's fusion mode, sized to
    what each mode actually executes per iteration on the host: Unfused
@@ -191,17 +191,17 @@ let run_cg_tail (plan : plan) ~(p : Field.t) ~(ap : Field.t) ~(x : Field.t)
   let pool, chunk = launch plan in
   match plan.mode with
   | Linalg.Fused.Unfused ->
-    ignore (Field.dot_re_with pool ?chunk p ap : float);
-    Field.axpy_with pool ?chunk alpha p x;
-    Field.axpy_with pool ?chunk (-.alpha) ap r;
-    let r2 = Field.norm2_with pool ?chunk r in
-    Field.xpay_with pool ?chunk r beta p;
+    ignore (Field.dot_re ~pool ?chunk p ap : float);
+    Field.axpy ~pool ?chunk alpha p x;
+    Field.axpy ~pool ?chunk (-.alpha) ap r;
+    let r2 = Field.norm2 ~pool ?chunk r in
+    Field.xpay ~pool ?chunk r beta p;
     r2
   | Linalg.Fused.Fused | Linalg.Fused.Tail_fused ->
     if plan.mode = Linalg.Fused.Fused then
-      ignore (Field.dot_re_with pool ?chunk p ap : float);
-    let r2 = Linalg.Fused.cg_update_with pool ?chunk alpha p ap x r in
-    ignore (Linalg.Fused.xpay_dot_with pool ?chunk r beta p r : float);
+      ignore (Field.dot_re ~pool ?chunk p ap : float);
+    let r2 = Linalg.Fused.cg_update ~pool ?chunk alpha p ap x r in
+    ignore (Linalg.Fused.xpay_dot ~pool ?chunk r beta p r : float);
     r2
 
 (* The CG vector tail: the three fusion modes × pool geometries.
@@ -247,7 +247,7 @@ let run_hop_batch (plan : plan) (w : Dirac.Wilson.t) ~(srcs : Field.t array)
   let off = ref 0 in
   while !off < kmax do
     let width = min plan.k (kmax - !off) in
-    Dirac.Wilson.hop_multi_with pool ?chunk w
+    Dirac.Wilson.hop_multi ~pool ?chunk w
       ~srcs:(Array.sub srcs !off width)
       ~dsts:(Array.sub dsts !off width);
     off := !off + width
@@ -293,7 +293,8 @@ let tune_axpy ?max_domains tuner ~n =
       (fun (d, c) ->
         ( geom_label "pool" (d, c),
           fun alpha x y ->
-            Field.axpy_with (Util.Pool.shared ~domains:d) ~chunk:c alpha x y ))
+            let pool = Util.Pool.shared ~domains:d in
+            Field.axpy ~pool ~chunk:c alpha x y ))
       (pool_geometries ~max_domains:dmax ~n ())
   in
   let variants = axpy_variants @ pooled in

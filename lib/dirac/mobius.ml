@@ -233,17 +233,10 @@ let combine_slice p ~n4 ~s ~(src : Linalg.Field.t) ~(phi : Linalg.Field.t) =
    level of parallelism. Chunk is one slice: l5 is small (8–32) and a
    slice is a full 4D stencil application. *)
 let slice_pool p ~n4_dst =
-  let pool = Util.Pool.get_default () in
-  if
-    Util.Pool.size pool > 1 && p.l5 > 1
-    && p.l5 * n4_dst * fps >= Linalg.Field.parallel_cutoff
-  then Some pool
-  else None
+  if p.l5 > 1 then Linalg.Field.implicit_pool (p.l5 * n4_dst * fps) else None
 
 let run_slices p ~n4_dst range =
-  match slice_pool p ~n4_dst with
-  | Some pool -> Util.Pool.parallel_for pool ~chunk:1 ~n:p.l5 range
-  | None -> range 0 p.l5
+  Linalg.Field.run_pooled (slice_pool p ~n4_dst) ~chunk:1 ~n:p.l5 range
 
 (* dst_s += -(1/2) H phi_s for every slice, using the given 4D kernel.
    [src] has n4_src-site slices (the kernel's source index space),
@@ -531,7 +524,9 @@ let apply_schur_normal_tail eo ~src ~dst ~tail =
    per-RHS (combine, M5d/M5d⁻¹, the closing subtractions) runs
    per-RHS with [apply_hop]'s own loops, so each dst in the batch is
    bit-identical to the independent single-RHS chain for any batch
-   width and pool geometry. *)
+   width and pool geometry. It does not replace the single-RHS chain:
+   at k = 1 it is 1.27-1.32x slower (see [Wilson.make_do_site_multi]),
+   and the solves that run it are most of the Fig 2 wall time. *)
 
 let apply_hop_multi p kernel ~n4_src ~n4_dst ~(srcs : Linalg.Field.t array)
     ~(dsts : Linalg.Field.t array) ~accumulate =

@@ -244,17 +244,6 @@ let check_dst t (dst : Linalg.Field.t) =
   if Linalg.Field.length dst < t.n_sites * floats_per_site then
     invalid_arg "Wilson.hop: dst too short"
 
-let hop_sites t ?(sites : int array option) ~(src : Linalg.Field.t)
-    ~(dst : Linalg.Field.t) () =
-  check_dst t dst;
-  let do_site = make_do_site t ~src ~dst in
-  match sites with
-  | None ->
-    for x = 0 to t.n_sites - 1 do
-      do_site x
-    done
-  | Some sites -> Array.iter do_site sites
-
 (* [lo, hi) in sites; fresh scratch per range. *)
 let hop_range t ~src ~dst lo hi =
   let do_site = make_do_site t ~src ~dst in
@@ -262,18 +251,19 @@ let hop_range t ~src ~dst lo hi =
     do_site x
   done
 
-let hop_with pool ?chunk t ~src ~dst =
+let hop_sites t ?(sites : int array option) ~(src : Linalg.Field.t)
+    ~(dst : Linalg.Field.t) () =
   check_dst t dst;
-  Util.Pool.parallel_for pool ?chunk ~n:t.n_sites (hop_range t ~src ~dst)
+  match sites with
+  | None -> hop_range t ~src ~dst 0 t.n_sites
+  | Some sites -> Array.iter (make_do_site t ~src ~dst) sites
 
-let hop t ~src ~dst =
+(* Site-partitioned; [chunk] is in sites. *)
+let hop ?pool ?chunk t ~src ~dst =
   check_dst t dst;
-  let pool = Util.Pool.get_default () in
-  if
-    Util.Pool.size pool > 1
-    && t.n_sites * floats_per_site >= Linalg.Field.parallel_cutoff
-  then Util.Pool.parallel_for pool ~n:t.n_sites (hop_range t ~src ~dst)
-  else hop_range t ~src ~dst 0 t.n_sites
+  Linalg.Field.run_pooled
+    (Linalg.Field.implicit_pool ?pool (t.n_sites * floats_per_site))
+    ?chunk ~n:t.n_sites (hop_range t ~src ~dst)
 
 (* ---- batched multi-RHS hop: k spinors per gauge-link load ----
    The whole point of the batch is traffic amortization: the gauge
@@ -284,7 +274,10 @@ let hop t ~src ~dst =
    association — are exactly [make_do_site]'s, only interleaved across
    the batch, so each dst is bit-identical to the independent [hop]'s
    (serial or pooled; site partitioning is race-free exactly as for
-   the single-RHS kernel, every range closing over fresh scratch). *)
+   the single-RHS kernel, every range closing over fresh scratch).
+   The single-RHS body stays: at k = 1 the batched Möbius Schur chain
+   on it took a median 1.27-1.32x the single-RHS chain's time (5 runs
+   of 31x50 applies, 4^4 x L5 = 4, 2-core Xeon). *)
 let make_do_site_multi t ~(srcs : Linalg.Field.t array)
     ~(dsts : Linalg.Field.t array) =
   let k = Array.length srcs in
@@ -419,20 +412,12 @@ let hop_multi_range t ~srcs ~dsts lo hi =
     do_site x
   done
 
-let hop_multi_with pool ?chunk t ~srcs ~dsts =
-  ignore (check_multi "Wilson.hop_multi" t srcs dsts : int);
-  Util.Pool.parallel_for pool ?chunk ~n:t.n_sites
-    (hop_multi_range t ~srcs ~dsts)
-
-let hop_multi t ~srcs ~dsts =
+(* The cutoff is tested against the batch float count. *)
+let hop_multi ?pool ?chunk t ~srcs ~dsts =
   let k = check_multi "Wilson.hop_multi" t srcs dsts in
-  let pool = Util.Pool.get_default () in
-  if
-    Util.Pool.size pool > 1
-    && k * t.n_sites * floats_per_site >= Linalg.Field.parallel_cutoff
-  then
-    Util.Pool.parallel_for pool ~n:t.n_sites (hop_multi_range t ~srcs ~dsts)
-  else hop_multi_range t ~srcs ~dsts 0 t.n_sites
+  Linalg.Field.run_pooled
+    (Linalg.Field.implicit_pool ?pool (k * t.n_sites * floats_per_site))
+    ?chunk ~n:t.n_sites (hop_multi_range t ~srcs ~dsts)
 
 (* ---- tail-fused hop: stencil + output tail in one pass ----
    The tail (optional xpay + dot, Linalg.Fused.tail) runs per tile
@@ -472,22 +457,11 @@ let hop_tail_range t ~src ~dst ~tail ~(partials : float array) lo hi =
     s := s1
   done
 
-(* Fold the block partials in index order on the calling domain —
-   including block_fold's single-block shortcut (the raw partial, no
-   0-seeded fold), so the result is the standalone reduction's bits. *)
-let tail_fold (partials : float array) n_blocks =
-  if n_blocks <= 1 then partials.(0)
-  else begin
-    let acc = ref 0. in
-    for b = 0 to n_blocks - 1 do
-      acc := !acc +. partials.(b)
-    done;
-    !acc
-  end
-
 let round_to_tiles c = (max 1 c + tail_tile_sites - 1) / tail_tile_sites * tail_tile_sites
 
-let hop_tail_launch pool chunk t ~src ~dst ~tail =
+(* An explicit chunk (in sites) is rounded up to whole tiles; without
+   one the pool's default chunk is. *)
+let hop_tail ?pool ?chunk t ~src ~dst ~tail =
   check_dst t dst;
   let n_floats = t.n_sites * floats_per_site in
   Linalg.Fused.tail_check "Wilson.hop_tail" ~n:n_floats ~dst tail;
@@ -495,7 +469,7 @@ let hop_tail_launch pool chunk t ~src ~dst ~tail =
     max 1 ((n_floats + Linalg.Field.reduce_block - 1) / Linalg.Field.reduce_block)
   in
   let partials = Array.make n_blocks 0. in
-  (match pool with
+  (match Linalg.Field.implicit_pool ?pool n_floats with
   | Some pool ->
     let chunk =
       round_to_tiles
@@ -506,26 +480,12 @@ let hop_tail_launch pool chunk t ~src ~dst ~tail =
     Util.Pool.parallel_for pool ~chunk ~n:t.n_sites
       (hop_tail_range t ~src ~dst ~tail ~partials)
   | None -> hop_tail_range t ~src ~dst ~tail ~partials 0 t.n_sites);
-  let s = tail_fold partials n_blocks in
+  let s = Linalg.Field.fold_partials ~zero:0. ~add:( +. ) partials in
   Linalg.Field.Sanitize.check_vec "Wilson.hop_tail" dst;
   (match tail.Linalg.Fused.t_xpay with
   | Some (out, _) -> Linalg.Field.Sanitize.check_vec "Wilson.hop_tail" out
   | None -> ());
   Linalg.Field.Sanitize.check_scalar "Wilson.hop_tail" s
-
-let hop_tail_with pool ?chunk t ~src ~dst ~tail =
-  hop_tail_launch (Some pool) chunk t ~src ~dst ~tail
-
-let hop_tail t ~src ~dst ~tail =
-  let pool = Util.Pool.get_default () in
-  let pooled =
-    if
-      Util.Pool.size pool > 1
-      && t.n_sites * floats_per_site >= Linalg.Field.parallel_cutoff
-    then Some pool
-    else None
-  in
-  hop_tail_launch pooled None t ~src ~dst ~tail
 
 (* Full Wilson operator: M psi = (4 + mass) psi - (1/2) H psi.
    src and dst must not alias. *)

@@ -40,19 +40,29 @@ val of_checkerboard :
 (** Hopping from the opposite parity onto sites of [parity]; fields are
     indexed by checkerboard (eo) index, half_volume×24 floats. *)
 
-val hop : t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** dst <- H src (the full hopping sum). No aliasing. Dispatches to the
-    default pool ([Util.Pool.get_default]) when it has more than one
-    lane and the field clears [Linalg.Field.parallel_cutoff];
-    site-partitioned, so pooled and serial results are bit-identical. *)
+(** {2 Hop kernels}
 
-val hop_with :
-  Util.Pool.t -> ?chunk:int -> t -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit
-(** [hop] on an explicit pool with an explicit chunk (in sites) — the
-    autotuner's pooled hop candidates. *)
+    Each takes [?pool ?chunk] (chunk in sites): without [pool] it
+    dispatches by [Linalg.Field.implicit_pool] on the launch's float
+    count; with it, it runs on that pool — the autotuner's pooled
+    candidates. Site-partitioned, so every path gives the same bits. *)
+
+val hop :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  t ->
+  src:Linalg.Field.t ->
+  dst:Linalg.Field.t ->
+  unit
+(** dst <- H src (the full hopping sum). No aliasing. *)
 
 val hop_multi :
-  t -> srcs:Linalg.Field.t array -> dsts:Linalg.Field.t array -> unit
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  t ->
+  srcs:Linalg.Field.t array ->
+  dsts:Linalg.Field.t array ->
+  unit
 (** Batched multi-RHS hop: [dsts.(v) <- H srcs.(v)] for every v, with
     each gauge-link element loaded once per site and applied to all k
     half-spinors before the next — the k-fold link-traffic
@@ -62,21 +72,12 @@ val hop_multi :
     any batch width and pool geometry. Batch must be non-empty, srcs
     and dsts the same width, dsts pairwise distinct and non-aliasing
     with the srcs (unchecked, like [hop]'s no-aliasing contract).
-    Dispatches to the default pool when the *batch* float count clears
-    [Linalg.Field.parallel_cutoff]. *)
-
-val hop_multi_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  t ->
-  srcs:Linalg.Field.t array ->
-  dsts:Linalg.Field.t array ->
-  unit
-(** [hop_multi] on an explicit pool with an explicit chunk (in sites)
-    — the batch-width autotuner's pooled candidates
-    ([Autotune.Variants.tune_hop_recon]). *)
+    Without [pool], the parallel cutoff is tested against the *batch*
+    float count. *)
 
 val hop_tail :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
   t ->
   src:Linalg.Field.t ->
   dst:Linalg.Field.t ->
@@ -92,20 +93,10 @@ val hop_tail :
     [hop; Fused.xpay_dot dst beta out q] (resp. [hop; Field.dot_re q
     dst] without the xpay) for any pool geometry: the tail is tiled at
     whole [Field.reduce_block]s and the block partials fold in index
-    order — the canonical reduction association. The tail output must
+    order — the canonical reduction association. A pooled launch
+    rounds [chunk] up to whole reduction tiles (256 sites) so a chunk
+    boundary can never split a canonical block. The tail output must
     not alias [dst] ([Invalid_argument], probed through the data). *)
-
-val hop_tail_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  t ->
-  src:Linalg.Field.t ->
-  dst:Linalg.Field.t ->
-  tail:Linalg.Fused.tail ->
-  float
-(** [hop_tail] on an explicit pool; [chunk] (in sites) is rounded up
-    to whole reduction tiles (256 sites) so a chunk boundary can never
-    split a canonical block. *)
 
 val hop_sites :
   t -> ?sites:int array -> src:Linalg.Field.t -> dst:Linalg.Field.t -> unit -> unit

@@ -14,9 +14,9 @@
    pooled paths share that order, so the result is bit-identical
    across all pool geometries and bit-stable run to run (FP addition
    is not associative; fixing the association is what buys
-   reproducibility). The implicit paths dispatch on
-   [Util.Pool.get_default] above [parallel_cutoff]; the [_with]
-   variants take an explicit pool + chunk for the autotuner. *)
+   reproducibility). Every kernel takes [?pool ?chunk]: without a pool
+   it dispatches on [Util.Pool.get_default] above [parallel_cutoff]
+   ([implicit_pool]); the autotuner passes an explicit pool + chunk. *)
 
 open Bigarray
 
@@ -101,7 +101,7 @@ end
 
 (* ---- pooled execution ----
    [parallel_cutoff]: below this many floats a fork/join costs more
-   than it hides — the implicit kernels stay serial and
+   than it hides — a kernel called without a pool stays serial and
    Check.Pool_check DET003 warns about pooled launches under it. *)
 
 let parallel_cutoff = 32_768
@@ -112,9 +112,21 @@ let parallel_cutoff = 32_768
    depend on the pool geometry. *)
 let reduce_block = 2048
 
-let implicit_pool n =
-  let pool = Util.Pool.get_default () in
-  if Util.Pool.size pool > 1 && n >= parallel_cutoff then Some pool else None
+(* The one dispatch rule of every kernel taking [?pool ?chunk]: an
+   explicit pool is used as given; otherwise the default pool, when it
+   has more than one lane and the launch covers at least
+   [parallel_cutoff] floats; otherwise serial. *)
+let implicit_pool ?pool n =
+  match pool with
+  | Some _ -> pool
+  | None ->
+    let pool = Util.Pool.get_default () in
+    if Util.Pool.size pool > 1 && n >= parallel_cutoff then Some pool else None
+
+let run_pooled pool ?chunk ~n f =
+  match pool with
+  | Some p -> Util.Pool.parallel_for p ?chunk ~n f
+  | None -> f 0 n
 
 (* ---- element-wise kernels: range bodies + dispatch ---- *)
 
@@ -150,104 +162,78 @@ let caxpy_range (ar, ai) (x : t) (y : t) lo hi =
       (Array1.unsafe_get y ((2 * k) + 1) +. ((ar *. xi) +. (ai *. xr)))
   done
 
-let run_pooled pool chunk ~n f =
-  match pool with
-  | Some p -> Util.Pool.parallel_for p ?chunk ~n f
-  | None -> f 0 n
-
 (* y <- y + alpha x *)
-let axpy alpha (x : t) (y : t) =
+let axpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.axpy" x y;
   let n = length x in
-  run_pooled (implicit_pool n) None ~n (axpy_range alpha x y);
-  Sanitize.check_vec "Field.axpy" y
-
-let axpy_with pool ?chunk alpha (x : t) (y : t) =
-  check2 "Field.axpy" x y;
-  Util.Pool.parallel_for pool ?chunk ~n:(length x) (axpy_range alpha x y);
+  run_pooled (implicit_pool ?pool n) ?chunk ~n (axpy_range alpha x y);
   Sanitize.check_vec "Field.axpy" y
 
 (* y <- x + alpha y *)
-let xpay (x : t) alpha (y : t) =
+let xpay ?pool ?chunk (x : t) alpha (y : t) =
   check2 "Field.xpay" x y;
   let n = length x in
-  run_pooled (implicit_pool n) None ~n (xpay_range x alpha y);
+  run_pooled (implicit_pool ?pool n) ?chunk ~n (xpay_range x alpha y);
   Sanitize.check_vec "Field.xpay" y
 
-let xpay_with pool ?chunk (x : t) alpha (y : t) =
-  check2 "Field.xpay" x y;
-  Util.Pool.parallel_for pool ?chunk ~n:(length x) (xpay_range x alpha y);
-  Sanitize.check_vec "Field.xpay" y
-
-let scale alpha (v : t) =
+let scale ?pool ?chunk alpha (v : t) =
   let n = length v in
-  run_pooled (implicit_pool n) None ~n (scale_range alpha v);
-  Sanitize.check_vec "Field.scale" v
-
-let scale_with pool ?chunk alpha (v : t) =
-  Util.Pool.parallel_for pool ?chunk ~n:(length v) (scale_range alpha v);
+  run_pooled (implicit_pool ?pool n) ?chunk ~n (scale_range alpha v);
   Sanitize.check_vec "Field.scale" v
 
 (* z <- x - y *)
-let sub (x : t) (y : t) (z : t) =
+let sub ?pool ?chunk (x : t) (y : t) (z : t) =
   check2 "Field.sub" x y;
   check2 "Field.sub" x z;
   let n = length x in
-  run_pooled (implicit_pool n) None ~n (sub_range x y z);
+  run_pooled (implicit_pool ?pool n) ?chunk ~n (sub_range x y z);
   Sanitize.check_vec "Field.sub" z
 
-let sub_with pool ?chunk (x : t) (y : t) (z : t) =
-  check2 "Field.sub" x y;
-  check2 "Field.sub" x z;
-  Util.Pool.parallel_for pool ?chunk ~n:(length x) (sub_range x y z);
-  Sanitize.check_vec "Field.sub" z
-
-(* A chunk given in floats is halved to pairs for the complex kernels
-   (and floored at one pair) so one tuned chunk axis serves both. *)
-let pair_chunk = Option.map (fun c -> max 1 (c / 2))
-
-(* y <- y + alpha x with complex alpha; vectors are interleaved re/im. *)
-let caxpy alpha (x : t) (y : t) =
+(* y <- y + alpha x with complex alpha; vectors are interleaved re/im.
+   A chunk given in floats is halved to pairs (and floored at one
+   pair) so one tuned chunk axis serves both kinds of kernel. *)
+let caxpy ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Field.caxpy" x y;
-  let n = length x / 2 in
-  run_pooled (implicit_pool (length x)) None ~n (caxpy_range alpha x y);
-  Sanitize.check_vec "Field.caxpy" y
-
-let caxpy_with pool ?chunk alpha (x : t) (y : t) =
-  check2 "Field.caxpy" x y;
-  Util.Pool.parallel_for pool ?chunk:(pair_chunk chunk) ~n:(length x / 2)
-    (caxpy_range alpha x y);
+  run_pooled
+    (implicit_pool ?pool (length x))
+    ?chunk:(Option.map (fun c -> max 1 (c / 2)) chunk)
+    ~n:(length x / 2) (caxpy_range alpha x y);
   Sanitize.check_vec "Field.caxpy" y
 
 (* ---- reductions: canonical blocked summation ----
    [term lo hi] is the serial partial over elements [lo, hi);
-   [block_fold] cuts [0, n) into [reduce_block]-sized blocks, computes
-   each block's partial (possibly in parallel — slots are disjoint)
-   and folds the partials in block-index order on the calling domain.
-   The association is identical on every path, so serial and pooled
-   results agree to the bit. *)
+   [block_fold] cuts [0, n) into [block]-sized blocks, computes each
+   block's partial (possibly in parallel — slots are disjoint) and
+   folds the partials with [add] from [zero] in block-index order on
+   the calling domain. A single block returns its partial as is (no
+   [zero]-seeded fold: a -0. partial keeps its sign). The association
+   is identical on every path, so serial and pooled results agree to
+   the bit. The partial is a float for the real reductions, a pair
+   for [cdot] and one float per RHS for the batched kernels. *)
 
-let block_fold pool chunk ~n ~block term =
+let fold_partials ~zero ~add partials =
+  if Array.length partials = 1 then partials.(0)
+  else Array.fold_left add zero partials
+
+let block_fold pool chunk ~n ~block ~zero ~add term =
   let n_blocks = (n + block - 1) / block in
-  if n_blocks <= 1 then (if n <= 0 then 0. else term 0 n)
+  if n_blocks <= 1 then (if n <= 0 then zero else term 0 n)
   else begin
-    let partials = Array.make n_blocks 0. in
+    let partials = Array.make n_blocks zero in
     let fill blo bhi =
       for b = blo to bhi - 1 do
         partials.(b) <- term (b * block) (min n ((b + 1) * block))
       done
     in
-    (match pool with
-    | Some p ->
-      let chunk_blocks = Option.map (fun c -> max 1 (c / block)) chunk in
-      Util.Pool.parallel_for p ?chunk:chunk_blocks ~n:n_blocks fill
-    | None -> fill 0 n_blocks);
-    let acc = ref 0. in
-    for b = 0 to n_blocks - 1 do
-      acc := !acc +. partials.(b)
-    done;
-    !acc
+    run_pooled pool
+      ?chunk:(Option.map (fun c -> max 1 (c / block)) chunk)
+      ~n:n_blocks fill;
+    fold_partials ~zero ~add partials
   end
+
+let block_sum ?pool ?chunk ~n term =
+  block_fold (implicit_pool ?pool n) chunk ~n ~block:reduce_block ~zero:0.
+    ~add:( +. ) term
 
 let norm2_term (v : t) lo hi =
   let acc = ref 0. in
@@ -257,14 +243,9 @@ let norm2_term (v : t) lo hi =
   done;
   !acc
 
-let norm2 (v : t) =
-  let n = length v in
+let norm2 ?pool ?chunk (v : t) =
   Sanitize.check_scalar "Field.norm2"
-    (block_fold (implicit_pool n) None ~n ~block:reduce_block (norm2_term v))
-
-let norm2_with pool ?chunk (v : t) =
-  Sanitize.check_scalar "Field.norm2"
-    (block_fold (Some pool) chunk ~n:(length v) ~block:reduce_block (norm2_term v))
+    (block_sum ?pool ?chunk ~n:(length v) (norm2_term v))
 
 let norm v = sqrt (norm2 v)
 
@@ -277,24 +258,18 @@ let dot_re_term (x : t) (y : t) lo hi =
 
 (* Real part of <x|y> — for interleaved complex this equals the plain
    euclidean dot product. *)
-let dot_re (x : t) (y : t) =
-  check2 "Field.dot_re" x y;
-  let n = length x in
-  Sanitize.check_scalar "Field.dot_re"
-    (block_fold (implicit_pool n) None ~n ~block:reduce_block (dot_re_term x y))
-
-let dot_re_with pool ?chunk (x : t) (y : t) =
+let dot_re ?pool ?chunk (x : t) (y : t) =
   check2 "Field.dot_re" x y;
   Sanitize.check_scalar "Field.dot_re"
-    (block_fold (Some pool) chunk ~n:(length x) ~block:reduce_block
-       (dot_re_term x y))
+    (block_sum ?pool ?chunk ~n:(length x) (dot_re_term x y))
 
-(* cdot needs two accumulators per block; blocks are counted in pairs
-   ([reduce_block / 2] pairs = [reduce_block] floats, same canonical
-   boundaries as the real reductions). *)
-let cdot_blocked pool chunk (x : t) (y : t) =
-  let np = length x / 2 in
-  let block = reduce_block / 2 in
+(* Full complex <x|y> = sum conj(x_k) y_k over interleaved pairs. Two
+   accumulators per block; blocks are counted in pairs
+   ([reduce_block / 2] pairs = [reduce_block] floats, the same
+   canonical boundaries as the real reductions), so a chunk in floats
+   is halved to pairs. *)
+let cdot ?pool ?chunk (x : t) (y : t) =
+  check2 "Field.cdot" x y;
   let term lo hi =
     let re = ref 0. and im = ref 0. in
     for k = lo to hi - 1 do
@@ -305,39 +280,14 @@ let cdot_blocked pool chunk (x : t) (y : t) =
     done;
     (!re, !im)
   in
-  let n_blocks = if np = 0 then 0 else (np + block - 1) / block in
-  if n_blocks <= 1 then (if np = 0 then (0., 0.) else term 0 np)
-  else begin
-    let pre = Array.make n_blocks 0. and pim = Array.make n_blocks 0. in
-    let fill blo bhi =
-      for b = blo to bhi - 1 do
-        let re, im = term (b * block) (min np ((b + 1) * block)) in
-        pre.(b) <- re;
-        pim.(b) <- im
-      done
-    in
-    (match pool with
-    | Some p ->
-      let chunk_blocks = Option.map (fun c -> max 1 (c / reduce_block)) chunk in
-      Util.Pool.parallel_for p ?chunk:chunk_blocks ~n:n_blocks fill
-    | None -> fill 0 n_blocks);
-    let re = ref 0. and im = ref 0. in
-    for b = 0 to n_blocks - 1 do
-      re := !re +. pre.(b);
-      im := !im +. pim.(b)
-    done;
-    (!re, !im)
-  end
-
-(* Full complex <x|y> = sum conj(x_k) y_k over interleaved pairs. *)
-let cdot (x : t) (y : t) =
-  check2 "Field.cdot" x y;
-  let re, im = cdot_blocked (implicit_pool (length x)) None x y in
-  Cplx.make (Sanitize.check_scalar "Field.cdot" re) (Sanitize.check_scalar "Field.cdot" im)
-
-let cdot_with pool ?chunk (x : t) (y : t) =
-  check2 "Field.cdot" x y;
-  let re, im = cdot_blocked (Some pool) chunk x y in
+  let re, im =
+    block_fold
+      (implicit_pool ?pool (length x))
+      (Option.map (fun c -> c / 2) chunk)
+      ~n:(length x / 2) ~block:(reduce_block / 2) ~zero:(0., 0.)
+      ~add:(fun (r0, i0) (r1, i1) -> (r0 +. r1, i0 +. i1))
+      term
+  in
   Cplx.make (Sanitize.check_scalar "Field.cdot" re) (Sanitize.check_scalar "Field.cdot" im)
 
 let gaussian rng (v : t) =

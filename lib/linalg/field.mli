@@ -16,8 +16,8 @@ val of_array : float array -> t
 val to_array : t -> float array
 
 val parallel_cutoff : int
-(** Vectors shorter than this stay serial on the implicit pooled
-    paths: the fork/join costs more than it hides.
+(** Launches shorter than this stay serial when no pool is given
+    ({!implicit_pool}): the fork/join costs more than it hides.
     [Check.Pool_check] DET003 warns about pooled launches under it. *)
 
 val reduce_block : int
@@ -31,62 +31,76 @@ val block_fold :
   int option ->
   n:int ->
   block:int ->
-  (int -> int -> float) ->
-  float
-(** The canonical blocked-reduction engine behind [norm2]/[dot_re]:
-    cuts [0, n) into [block]-sized blocks, evaluates [term lo hi] per
-    block (in parallel when a pool is given — the slots are disjoint)
-    and folds the partials in block-index order on the calling domain.
-    Exported so the fused solver kernels ([Fused]) share the exact
-    association of the unfused reductions: any [term] that updates a
-    block element-wise and then accumulates it in index order is
-    bit-identical to running the update kernel followed by the
-    standalone reduction, for every pool geometry. *)
+  zero:'a ->
+  add:('a -> 'a -> 'a) ->
+  (int -> int -> 'a) ->
+  'a
+(** The canonical blocked-reduction engine: cuts [0, n) into
+    [block]-sized blocks, evaluates [term lo hi] per block (in
+    parallel when a pool is given — the slots are disjoint; [chunk] is
+    in elements) and folds the partials with {!fold_partials}. Any
+    [term] that updates a block element-wise and then accumulates it
+    in index order is bit-identical to running the update kernel
+    followed by the standalone reduction, for every pool geometry —
+    the contract [Fused], [Multi_blas] (one partial per RHS) and
+    [cdot] (a re/im pair) build on. *)
 
-val implicit_pool : int -> Util.Pool.t option
-(** The pool the implicit kernels dispatch on: [Util.Pool.get_default]
-    when it has more than one lane and [n] is at least
-    [parallel_cutoff], else [None] (serial). *)
+val fold_partials : zero:'a -> add:('a -> 'a -> 'a) -> 'a array -> 'a
+(** Fold block partials in block-index order from [zero]; a single
+    partial is returned as is (so a -0. keeps its sign) — the
+    association every reduction path shares, exported for the stencil
+    tail ([Dirac.Wilson.hop_tail]), which fills its partials per
+    site tile. *)
 
-val axpy : float -> t -> t -> unit
+val block_sum :
+  ?pool:Util.Pool.t -> ?chunk:int -> n:int -> (int -> int -> float) -> float
+(** The real reductions' launch: {!block_fold} over [reduce_block]
+    blocks on the pool {!implicit_pool} picks, summing from [0.]. *)
+
+val implicit_pool : ?pool:Util.Pool.t -> int -> Util.Pool.t option
+(** The one pool-dispatch rule of every kernel that takes
+    [?pool ?chunk] ([Field], [Fused], [Multi_blas], the [Dirac.Wilson]
+    hops and the Möbius slice loop): [pool] when given; else
+    [Util.Pool.get_default] when it has more than one lane and the
+    launch covers at least [parallel_cutoff] floats ([n]); else [None]
+    (serial). *)
+
+val run_pooled :
+  Util.Pool.t option -> ?chunk:int -> n:int -> (int -> int -> unit) -> unit
+(** [run_pooled pool ?chunk ~n f]: [Util.Pool.parallel_for] over
+    [0, n) on [Some pool], [f 0 n] inline on [None]. *)
+
+(** {2 BLAS-1 kernels}
+
+    Every kernel takes [?pool ?chunk]. Without [pool] it dispatches by
+    {!implicit_pool}; with it, it runs on that pool (the autotuner's
+    pooled candidates). [chunk] (in floats; the complex kernels halve
+    it to pairs) applies whenever the kernel runs pooled. All results
+    are bit-identical for any pool geometry, and the [Sanitize] hooks
+    run on every path. *)
+
+val axpy : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> unit
 (** [axpy a x y]: y <- y + a·x. *)
 
-val xpay : t -> float -> t -> unit
+val xpay : ?pool:Util.Pool.t -> ?chunk:int -> t -> float -> t -> unit
 (** [xpay x a y]: y <- x + a·y. *)
 
-val scale : float -> t -> unit
+val scale : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> unit
 
-val sub : t -> t -> t -> unit
+val sub : ?pool:Util.Pool.t -> ?chunk:int -> t -> t -> t -> unit
 (** [sub x y z]: z <- x − y. *)
 
-val caxpy : float * float -> t -> t -> unit
+val caxpy : ?pool:Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> unit
 (** [caxpy (re, im) x y]: y <- y + a·x with complex a. *)
 
-val norm2 : t -> float
+val norm2 : ?pool:Util.Pool.t -> ?chunk:int -> t -> float
 val norm : t -> float
 
-val dot_re : t -> t -> float
+val dot_re : ?pool:Util.Pool.t -> ?chunk:int -> t -> t -> float
 (** Real part of the complex inner product. *)
 
-val cdot : t -> t -> Cplx.t
+val cdot : ?pool:Util.Pool.t -> ?chunk:int -> t -> t -> Cplx.t
 (** Complex inner product sum conj(x_k)·y_k. *)
-
-(** Explicit pooled variants — same kernels run on a caller-chosen
-    pool and chunk (in floats; the complex kernels halve it to pairs).
-    These are the autotuner's pooled candidates; the plain kernels
-    above dispatch implicitly on [Util.Pool.get_default] for vectors
-    of at least [parallel_cutoff] floats. All are bit-identical to
-    their serial counterparts for any geometry, and the [Sanitize]
-    hooks run on these paths too. *)
-
-val axpy_with : Util.Pool.t -> ?chunk:int -> float -> t -> t -> unit
-val xpay_with : Util.Pool.t -> ?chunk:int -> t -> float -> t -> unit
-val scale_with : Util.Pool.t -> ?chunk:int -> float -> t -> unit
-val sub_with : Util.Pool.t -> ?chunk:int -> t -> t -> t -> unit
-val caxpy_with : Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> unit
-val norm2_with : Util.Pool.t -> ?chunk:int -> t -> float
-val dot_re_with : Util.Pool.t -> ?chunk:int -> t -> t -> float
-val cdot_with : Util.Pool.t -> ?chunk:int -> t -> t -> Cplx.t
 
 val gaussian : Util.Rng.t -> t -> unit
 (** Fill with unit-variance Gaussian noise. *)

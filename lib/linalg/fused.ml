@@ -87,7 +87,9 @@ let no_alias name outs ins =
 
 (* ---- fused range terms: update the block, reduce it, in one pass.
    Accumulation visits elements in index order, one float at a time —
-   the same association as Field.norm2_term/dot_re_term. ---- *)
+   the same association as Field.norm2_term/dot_re_term. These are the
+   only bodies of the fused updates: Multi_blas runs them per batch
+   slot. ---- *)
 
 let axpy_norm2_term alpha (x : t) (y : t) lo hi =
   let acc = ref 0. in
@@ -143,60 +145,32 @@ let caxpy_norm2_term (ar, ai) (x : t) (y : t) lo hi =
   end;
   !acc
 
-(* ---- dispatch: implicit (default pool above the cutoff) and
-   explicit [_with] paths, both through the canonical engine ---- *)
-
-let fold pool chunk ~n term =
-  Field.block_fold pool chunk ~n ~block:Field.reduce_block term
+(* ---- dispatch: [Field.block_sum] picks the pool (the explicit one
+   when given) and runs the term through the canonical engine ---- *)
 
 let finish kernel (v : t) s =
   Field.Sanitize.check_vec kernel v;
   Field.Sanitize.check_scalar kernel s
 
 (* y <- y + alpha x; returns |y|^2 *)
-let axpy_norm2 alpha (x : t) (y : t) =
-  check2 "Fused.axpy_norm2" x y;
-  no_alias "Fused.axpy_norm2" [ y ] [ x ];
-  let n = Field.length x in
-  finish "Fused.axpy_norm2" y
-    (fold (Field.implicit_pool n) None ~n (axpy_norm2_term alpha x y))
-
-let axpy_norm2_with pool ?chunk alpha (x : t) (y : t) =
+let axpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.axpy_norm2" x y;
   no_alias "Fused.axpy_norm2" [ y ] [ x ];
   finish "Fused.axpy_norm2" y
-    (fold (Some pool) chunk ~n:(Field.length x) (axpy_norm2_term alpha x y))
+    (Field.block_sum ?pool ?chunk ~n:(Field.length x)
+       (axpy_norm2_term alpha x y))
 
 (* p <- x + beta p; returns p.q *)
-let xpay_dot (x : t) beta (p : t) (q : t) =
-  check2 "Fused.xpay_dot" x p;
-  check2 "Fused.xpay_dot" x q;
-  no_alias "Fused.xpay_dot" [ p ] [ x ];
-  let n = Field.length x in
-  finish "Fused.xpay_dot" p
-    (fold (Field.implicit_pool n) None ~n (xpay_dot_term x beta p q))
-
-let xpay_dot_with pool ?chunk (x : t) beta (p : t) (q : t) =
+let xpay_dot ?pool ?chunk (x : t) beta (p : t) (q : t) =
   check2 "Fused.xpay_dot" x p;
   check2 "Fused.xpay_dot" x q;
   no_alias "Fused.xpay_dot" [ p ] [ x ];
   finish "Fused.xpay_dot" p
-    (fold (Some pool) chunk ~n:(Field.length x) (xpay_dot_term x beta p q))
+    (Field.block_sum ?pool ?chunk ~n:(Field.length x)
+       (xpay_dot_term x beta p q))
 
 (* x <- x + alpha p; r <- r - alpha ap; returns |r|^2 *)
-let cg_update alpha (p : t) (ap : t) (x : t) (r : t) =
-  check2 "Fused.cg_update" p ap;
-  check2 "Fused.cg_update" p x;
-  check2 "Fused.cg_update" p r;
-  no_alias "Fused.cg_update" [ x; r ] [ p; ap ];
-  if same_data x r then
-    invalid_arg "Fused.cg_update: output aliases an input of a different role";
-  let n = Field.length p in
-  let s = fold (Field.implicit_pool n) None ~n (cg_update_term alpha p ap x r) in
-  Field.Sanitize.check_vec "Fused.cg_update" x;
-  finish "Fused.cg_update" r s
-
-let cg_update_with pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
+let cg_update ?pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
   check2 "Fused.cg_update" p ap;
   check2 "Fused.cg_update" p x;
   check2 "Fused.cg_update" p r;
@@ -204,24 +178,19 @@ let cg_update_with pool ?chunk alpha (p : t) (ap : t) (x : t) (r : t) =
   if same_data x r then
     invalid_arg "Fused.cg_update: output aliases an input of a different role";
   let s =
-    fold (Some pool) chunk ~n:(Field.length p) (cg_update_term alpha p ap x r)
+    Field.block_sum ?pool ?chunk ~n:(Field.length p)
+      (cg_update_term alpha p ap x r)
   in
   Field.Sanitize.check_vec "Fused.cg_update" x;
   finish "Fused.cg_update" r s
 
 (* y <- y + alpha x (complex alpha, interleaved); returns |y|^2 *)
-let caxpy_norm2 alpha (x : t) (y : t) =
-  check2 "Fused.caxpy_norm2" x y;
-  no_alias "Fused.caxpy_norm2" [ y ] [ x ];
-  let n = Field.length x in
-  finish "Fused.caxpy_norm2" y
-    (fold (Field.implicit_pool n) None ~n (caxpy_norm2_term alpha x y))
-
-let caxpy_norm2_with pool ?chunk alpha (x : t) (y : t) =
+let caxpy_norm2 ?pool ?chunk alpha (x : t) (y : t) =
   check2 "Fused.caxpy_norm2" x y;
   no_alias "Fused.caxpy_norm2" [ y ] [ x ];
   finish "Fused.caxpy_norm2" y
-    (fold (Some pool) chunk ~n:(Field.length x) (caxpy_norm2_term alpha x y))
+    (Field.block_sum ?pool ?chunk ~n:(Field.length x)
+       (caxpy_norm2_term alpha x y))
 
 (* ---- stencil output tail ----
    The closure a hop kernel applies per site-block right after the
@@ -269,23 +238,19 @@ let tail_check name ~n ~(dst : t) tl =
 
 (* The serial per-block term: callers hand it canonical-block [lo, hi)
    float ranges of dst in index order and fold the results in block
-   order. Accumulation is one float at a time — Field.dot_re_term's
-   association; the xpay matches Fused.xpay_dot_term element-wise. *)
+   order. The xpay form is xpay_dot's own term body; the dot-only form
+   accumulates one float at a time — Field.dot_re_term's
+   association. *)
 let tail_term tl ~(dst : t) lo hi =
   let q = tl.t_dot in
-  let acc = ref 0. in
-  (match tl.t_xpay with
-  | Some (out, beta) ->
-    for i = lo to hi - 1 do
-      let oi = Array1.unsafe_get dst i +. (beta *. Array1.unsafe_get out i) in
-      Array1.unsafe_set out i oi;
-      acc := !acc +. (oi *. Array1.unsafe_get q i)
-    done
+  match tl.t_xpay with
+  | Some (out, beta) -> xpay_dot_term dst beta out q lo hi
   | None ->
+    let acc = ref 0. in
     for i = lo to hi - 1 do
       acc := !acc +. (Array1.unsafe_get q i *. Array1.unsafe_get dst i)
-    done);
-  !acc
+    done;
+    !acc
 
 (* Operand-role table, in call order: (formal name, is_output). The
    ground truth Check.Plan_extract builds fused-launch effects from,

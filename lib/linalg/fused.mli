@@ -68,38 +68,48 @@ val tail_term : tail -> dst:t -> int -> int -> float
     canonical [Field.reduce_block] ranges and fold the partials in
     block order ([Field.block_fold]'s association). *)
 
-val axpy_norm2 : float -> t -> t -> float
+(** {2 Fused kernels}
+
+    Like [Field]'s kernels, each takes [?pool ?chunk]: without [pool]
+    it dispatches by [Field.implicit_pool]; with it, it runs on that
+    pool and chunk (in floats) — the autotuner's fused candidates
+    ([Autotune.Variants.run_cg_tail]). The result is the same on every
+    path. *)
+
+val axpy_norm2 : ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> float
 (** [axpy_norm2 a x y]: y <- y + a·x; returns |y|².
     ≡ [Field.axpy a x y; Field.norm2 y] bit-for-bit. *)
 
-val xpay_dot : t -> float -> t -> t -> float
+val xpay_dot :
+  ?pool:Util.Pool.t -> ?chunk:int -> t -> float -> t -> t -> float
 (** [xpay_dot x beta p q]: p <- x + β·p; returns p·q (real part under
     the flat-float view, i.e. [Field.dot_re]).
     ≡ [Field.xpay x beta p; Field.dot_re p q] bit-for-bit. *)
 
-val cg_update : float -> t -> t -> t -> t -> float
+val cg_update :
+  ?pool:Util.Pool.t -> ?chunk:int -> float -> t -> t -> t -> t -> float
 (** [cg_update alpha p ap x r]: x <- x + α·p; r <- r − α·Ap; returns
     |r|² — QUDA's tripleCGUpdate, the whole CG vector tail in one
     sweep. ≡ [Field.axpy alpha p x; Field.axpy (−alpha) ap r;
     Field.norm2 r] bit-for-bit (IEEE negation is exact). *)
 
-val caxpy_norm2 : float * float -> t -> t -> float
+val caxpy_norm2 :
+  ?pool:Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> float
 (** [caxpy_norm2 (re, im) x y]: y <- y + a·x with complex [a] over the
     interleaved layout; returns |y|².
     ≡ [Field.caxpy (re, im) x y; Field.norm2 y] bit-for-bit. *)
 
-(** Explicit pooled variants, mirroring [Field]'s [_with] kernels:
-    same results on a caller-chosen pool and chunk (in floats). These
-    are the autotuner's fused candidates ([Autotune.Variants.fusion]). *)
+(** {2 Per-block term bodies}
 
-val axpy_norm2_with : Util.Pool.t -> ?chunk:int -> float -> t -> t -> float
-val xpay_dot_with : Util.Pool.t -> ?chunk:int -> t -> float -> t -> t -> float
+    The serial pass of a fused kernel over floats [lo, hi): update the
+    block, then accumulate its reduction one float at a time in index
+    order. They are the only bodies of these updates: the kernels above
+    and the batched [Multi_blas] kernels (per slot) fold them through
+    the canonical blocked reduction. *)
 
-val cg_update_with :
-  Util.Pool.t -> ?chunk:int -> float -> t -> t -> t -> t -> float
-
-val caxpy_norm2_with :
-  Util.Pool.t -> ?chunk:int -> float * float -> t -> t -> float
+val axpy_norm2_term : float -> t -> t -> int -> int -> float
+val xpay_dot_term : t -> float -> t -> t -> int -> int -> float
+val cg_update_term : float -> t -> t -> t -> t -> int -> int -> float
 
 val operand_roles : string -> (string * bool) list option
 (** Operand-role table of a fused kernel by name, in call order:

@@ -6,7 +6,8 @@
     single-vector [Linalg.Fused] twin. Consequence (the invariant the
     batched solver leans on): result [i] of every kernel here is
     bit-identical to the independent fused call on vector [i], serial
-    or pooled, for any pool geometry.
+    or pooled, for any pool geometry — slot [i] runs the [Fused] term
+    body itself.
 
     Aliasing contract, set-wide: an output sharing storage with an
     input of a different role, or with another output, raises
@@ -17,7 +18,19 @@
 
 type t = Field.t
 
-val block_axpy : float array array -> t array -> t array -> unit
+(** Every kernel takes [?pool ?chunk]: without [pool] it dispatches by
+    [Field.implicit_pool] on the per-vector float count; with it, it
+    runs on that pool and chunk (in floats, applied to each RHS's
+    block space) — the batched autotuner candidates. Same per-RHS
+    results on every path. *)
+
+val block_axpy :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  float array array ->
+  t array ->
+  t array ->
+  unit
 (** [block_axpy a xs ys]: the multi-blas tile
     [ys.(i) <- ys.(i) + sum_j a.(i).(j)·xs.(j)], with [a] an
     [Array.length ys × Array.length xs] coefficient matrix. Per output
@@ -26,52 +39,44 @@ val block_axpy : float array array -> t array -> t array -> unit
     (j ascending) bit-for-bit — with one pass over memory instead of
     [Array.length xs]. *)
 
-val axpy_norm2 : float array -> t array -> t array -> float array
+val axpy_norm2 :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  float array ->
+  t array ->
+  t array ->
+  float array
 (** [axpy_norm2 alphas xs ys]: per RHS,
     [ys.(i) <- ys.(i) + alphas.(i)·xs.(i)]; returns the per-RHS |y|².
-    Slot [i] ≡ [Fused.axpy_norm2 alphas.(i) xs.(i) ys.(i)] to the
-    bit. *)
+    Slot [i] runs [Fused.axpy_norm2_term] and ≡
+    [Fused.axpy_norm2 alphas.(i) xs.(i) ys.(i)] to the bit. *)
 
-val xpay_dot : t array -> float array -> t array -> t array -> float array
+val xpay_dot :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  t array ->
+  float array ->
+  t array ->
+  t array ->
+  float array
 (** [xpay_dot xs betas ps qs]: per RHS,
     [ps.(i) <- xs.(i) + betas.(i)·ps.(i)]; returns the per-RHS p·q.
-    Slot [i] ≡ [Fused.xpay_dot xs.(i) betas.(i) ps.(i) qs.(i)]. *)
+    Slot [i] runs [Fused.xpay_dot_term] and ≡
+    [Fused.xpay_dot xs.(i) betas.(i) ps.(i) qs.(i)]. *)
 
 val cg_update :
-  float array -> t array -> t array -> t array -> t array -> float array
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  float array ->
+  t array ->
+  t array ->
+  t array ->
+  t array ->
+  float array
 (** [cg_update alphas ps aps xs rs]: per RHS, the whole CG vector tail
     [xs.(i) += alphas.(i)·ps.(i); rs.(i) -= alphas.(i)·aps.(i)];
-    returns the per-RHS |r|². Slot [i] ≡
-    [Fused.cg_update alphas.(i) ps.(i) aps.(i) xs.(i) rs.(i)]. *)
-
-(** Explicit pooled variants on a caller-chosen pool and chunk (in
-    floats, applied to each RHS's block space) — the batched
-    autotuner candidates. Same per-RHS results as above. *)
-
-val block_axpy_with :
-  Util.Pool.t -> ?chunk:int -> float array array -> t array -> t array -> unit
-
-val axpy_norm2_with :
-  Util.Pool.t -> ?chunk:int -> float array -> t array -> t array -> float array
-
-val xpay_dot_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  t array ->
-  float array ->
-  t array ->
-  t array ->
-  float array
-
-val cg_update_with :
-  Util.Pool.t ->
-  ?chunk:int ->
-  float array ->
-  t array ->
-  t array ->
-  t array ->
-  t array ->
-  float array
+    returns the per-RHS |r|². Slot [i] runs [Fused.cg_update_term] and
+    ≡ [Fused.cg_update alphas.(i) ps.(i) aps.(i) xs.(i) rs.(i)]. *)
 
 val operand_roles : string -> (string * bool) list option
 (** Operand-role table of a batched kernel by plan-IR name

@@ -12,7 +12,9 @@ val fh_propagator :
   Propagator.t ->
   Propagator.t
 (** One extra solve per column against the current-inserted propagator:
-    D ψ_FH = Γ q, insertion summed over all of spacetime. *)
+    D ψ_FH = Γ q, insertion summed over all of spacetime. The result's
+    [stats] are these FH solves'.
+    @raise Propagator.Not_converged when a solve did not converge. *)
 
 val fh_proton_correlator :
   up:Propagator.t ->
@@ -38,7 +40,9 @@ val sequential_propagator :
   Propagator.t
 (** Insertion restricted to timeslice [tau]: ONE SOLVE PER τ — the
     traditional cost FH eliminates. By linearity Σ_τ ψ_τ = ψ_FH
-    (checked exactly by the test suite). *)
+    (checked exactly by the test suite). The result's [stats] are
+    these solves'.
+    @raise Propagator.Not_converged when a solve did not converge. *)
 
 val traditional_3pt :
   up:Propagator.t ->

@@ -19,6 +19,14 @@ type t = {
 
 let column_index ~spin ~color = (spin * 3) + color
 
+exception Not_converged of { column : int; stats : Solver.Cg.stats }
+
+(* A column whose solve did not converge is an error, not a quietly
+   wrong propagator: every solve path here goes through this check. *)
+let checked column ((_, st) as solved : Field.t * Solver.Cg.stats) =
+  if not st.Solver.Cg.converged then raise (Not_converged { column; stats = st });
+  solved
+
 (* The "midpoint" 4D field of a 5D solution: the pseudoscalar density
    J5q that measures residual chiral symmetry breaking lives at
    s = L5/2: q_mid = P- psi(L5/2) + P+ psi(L5/2 - 1). *)
@@ -54,7 +62,9 @@ let compute ?(precision = Solver.Dwf_solve.Double) ?(tol = 1e-10)
         let spin = idx / 3 and color = idx mod 3 in
         let eta = source ~spin ~color in
         let rhs = Source.to_5d ~l5 geom eta in
-        let x5, st = Solver.Dwf_solve.solve ~precision ~tol solver ~rhs in
+        let x5, st =
+          checked idx (Solver.Dwf_solve.solve ~precision ~tol solver ~rhs)
+        in
         stats := st :: !stats;
         if keep_midpoint then midpoints := midpoint_4d ~l5 geom x5 :: !midpoints;
         Source.to_4d ~l5 geom x5)
@@ -86,9 +96,13 @@ let total_iterations t =
 let total_seconds t =
   List.fold_left (fun acc st -> acc +. st.Solver.Cg.seconds) 0. t.stats
 
-(* Build a derived propagator by applying a map to every column
-   (e.g. a Feynman-Hellmann solve). Midpoint data does not transport. *)
-let map t f = { t with columns = Array.map f t.columns; midpoint = None }
+(* Build a derived propagator by solving once per column (e.g. a
+   Feynman-Hellmann solve): the new columns carry their own solves'
+   stats. Midpoint data does not transport. *)
+let map t f =
+  let solved = Array.mapi (fun c col -> checked c (f col)) t.columns in
+  let columns, stats = Array.split solved in
+  { t with columns; midpoint = None; stats = Array.to_list stats }
 
 (* Pseudoscalar-density correlators used by the residual-mass
    measurement: sum_x <J(x,t) J(0)> built from column overlaps. *)

@@ -12,6 +12,11 @@ type t = {
 
 val column_index : spin:int -> color:int -> int
 
+exception Not_converged of { column : int; stats : Solver.Cg.stats }
+(** Raised by {!compute} and {!map} (hence by every [Fh] solve path)
+    when a column's solve did not converge: [column] is its index
+    ({!column_index}), [stats] the solve's statistics. *)
+
 val midpoint_4d : l5:int -> Lattice.Geometry.t -> Linalg.Field.t -> Linalg.Field.t
 (** The J5q wall of a 5D solution: P− ψ(L5/2) + P+ ψ(L5/2 − 1). *)
 
@@ -22,6 +27,8 @@ val compute :
   Solver.Dwf_solve.t ->
   source:(spin:int -> color:int -> Linalg.Field.t) ->
   t
+(** Solve the 12 columns for a 4D source builder.
+    @raise Not_converged when a column's solve did not converge. *)
 
 val point_propagator :
   ?precision:Solver.Dwf_solve.precision ->
@@ -40,9 +47,12 @@ val total_flops : t -> float
 val total_iterations : t -> int
 val total_seconds : t -> float
 
-val map : t -> (Linalg.Field.t -> Linalg.Field.t) -> t
-(** Column-wise derived propagator (e.g. an FH solve). Midpoint data
-    does not transport. *)
+val map : t -> (Linalg.Field.t -> Linalg.Field.t * Solver.Cg.stats) -> t
+(** Column-wise derived propagator: [f column] solves for the new
+    column (e.g. an FH solve) and returns it with its solve's stats,
+    which replace the base propagator's [stats]. Midpoint data does
+    not transport.
+    @raise Not_converged when a column's solve did not converge. *)
 
 val residual_mass : t -> float
 (** m_res = Σt ⟨J5q(t)P(0)⟩ / Σt ⟨P(t)P(0)⟩ — the standard domain-wall

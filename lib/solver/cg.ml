@@ -225,9 +225,9 @@ let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
         Field.sub b aps.(i) rs.(i))
       bs);
   let ps = Array.init k (fun i -> Field.copy rs.(i)) in
-  let b2s = Array.map Field.norm2 bs in
+  let b2s = Array.map (fun b -> Field.norm2 b) bs in
   let targets = Array.map (fun b2 -> tol *. tol *. b2) b2s in
-  let r2s = Array.map Field.norm2 rs in
+  let r2s = Array.map (fun r -> Field.norm2 r) rs in
   let iters = Array.make k 0 in
   let out = Array.make k None in
   let finalize i =

@@ -65,21 +65,16 @@ let gauge_hash (u : Lattice.Gauge.t) = field_hash (Lattice.Gauge.data u)
 
 (* ---- the deflation kernels ---- *)
 
+(* The Galerkin coefficients (v_i·r)/λ_i of one residual. *)
+let coefficients ?pool ?chunk t (r : Field.t) =
+  Array.mapi (fun i v -> Field.dot_re ?pool ?chunk v r /. t.values.(i)) t.basis
+
 (* x += sum_i v_i (v_i·r)/λ_i — the Galerkin low-mode correction of
    the guess x given the residual r at x. One batched combination. *)
-let augment t ~(r : Field.t) (x : Field.t) =
-  let g =
-    Array.mapi (fun i v -> Field.dot_re v r /. t.values.(i)) t.basis
-  in
-  Linalg.Multi_blas.block_axpy [| g |] t.basis [| x |]
-
-let augment_with pool ?chunk t ~(r : Field.t) (x : Field.t) =
-  let g =
-    Array.mapi
-      (fun i v -> Field.dot_re_with pool ?chunk v r /. t.values.(i))
-      t.basis
-  in
-  Linalg.Multi_blas.block_axpy_with pool ?chunk [| g |] t.basis [| x |]
+let augment ?pool ?chunk t ~(r : Field.t) (x : Field.t) =
+  Linalg.Multi_blas.block_axpy ?pool ?chunk
+    [| coefficients ?pool ?chunk t r |]
+    t.basis [| x |]
 
 let deflated_guess t ~(b : Field.t) =
   let x = Field.create (Field.length b) in
@@ -93,16 +88,8 @@ let deflated_guess t ~(b : Field.t) =
 let augment_multi t ~(rs : Field.t array) (xs : Field.t array) =
   let k = Array.length rs in
   if Array.length xs <> k then invalid_arg "Deflate.augment_multi: width";
-  if k = 0 then ()
-  else begin
-    let g =
-      Array.map
-        (fun r ->
-          Array.mapi (fun j v -> Field.dot_re v r /. t.values.(j)) t.basis)
-        rs
-    in
-    Linalg.Multi_blas.block_axpy g t.basis xs
-  end
+  if k > 0 then
+    Linalg.Multi_blas.block_axpy (Array.map (coefficients t) rs) t.basis xs
 
 (* r -= sum_i v_i (v_i·r): remove the deflated span from a vector. *)
 let project t (r : Field.t) =

@@ -42,15 +42,19 @@ val gauge_hash : Lattice.Gauge.t -> int
 (** [field_hash] of the gauge configuration's raw link storage — the
     [config_hash] a space should be created with. *)
 
-val augment : t -> r:Linalg.Field.t -> Linalg.Field.t -> unit
+val augment :
+  ?pool:Util.Pool.t ->
+  ?chunk:int ->
+  t ->
+  r:Linalg.Field.t ->
+  Linalg.Field.t ->
+  unit
 (** [augment t ~r x]: x += Σᵢ vᵢ (vᵢ·r)/λᵢ — the Galerkin low-mode
     correction of the guess [x] given its residual [r]. One batched
-    [block_axpy] launch after the rank dots. *)
-
-val augment_with :
-  Util.Pool.t -> ?chunk:int -> t -> r:Linalg.Field.t -> Linalg.Field.t -> unit
-(** Explicit-pool variant, bit-identical to [augment] for any
-    geometry (the qcheck property). *)
+    [block_axpy] launch after the rank dots. [pool]/[chunk] pass
+    through to those kernels ([Linalg.Field.implicit_pool] without
+    one); the result is bit-identical for any geometry (the qcheck
+    property). *)
 
 val augment_multi :
   t -> rs:Linalg.Field.t array -> Linalg.Field.t array -> unit

@@ -193,24 +193,3 @@ let solve ?(config = default_config) ?deflate ?(fused = false) ?trace ~apply
         seconds = Unix.gettimeofday () -. t_start;
         reliable_updates = 0;
       } )
-
-(* Batched front end: the half-precision inner loop's quantization
-   state is inherently per-vector, so the Mixed hook of
-   [Cg.solve_multi] runs the k systems through independent mixed
-   solves against a width-1 view of the batched operator — trivially
-   bit-identical per RHS, and the seam where a future half-precision
-   multi-RHS inner loop slots in. *)
-let solve_multi ?config ?deflate ?fused ?trace ~apply ~(bs : Field.t array)
-    ~flops_per_apply () =
-  let k = Array.length bs in
-  if k = 0 then invalid_arg "Mixed.solve_multi: empty batch";
-  let results =
-    Array.mapi
-      (fun i b ->
-        let apply1 src dst = apply [| src |] [| dst |] in
-        let trace1 = Option.map (fun f -> f i) trace in
-        solve ?config ?deflate ?fused ?trace:trace1 ~apply:apply1 ~b
-          ~flops_per_apply ())
-      bs
-  in
-  (Array.map fst results, Array.map snd results)

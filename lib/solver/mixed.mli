@@ -62,20 +62,3 @@ val solve :
     extra double-precision apply each), while the half-precision inner
     loop runs unmodified. Absent, the solve is bit-identical to
     before. *)
-
-val solve_multi :
-  ?config:config ->
-  ?deflate:Deflate.t ->
-  ?fused:bool ->
-  ?trace:(int -> float -> unit) ->
-  apply:(Linalg.Field.t array -> Linalg.Field.t array -> unit) ->
-  bs:Linalg.Field.t array ->
-  flops_per_apply:float ->
-  unit ->
-  Linalg.Field.t array * Cg.stats array
-(** Batched hook mirroring [Cg.solve_multi]'s surface for the
-    mixed-precision solver. The half-precision inner loop's
-    quantization state is per-vector, so the current implementation
-    advances the k systems as independent [solve]s over width-1
-    batches of [apply] — per RHS bit-identical by construction.
-    [trace i r2] receives the inner residual of system [i]. *)

@@ -30,6 +30,22 @@ let test_tuner_distinguishes_signatures () =
   ignore (Tuner.tune t ~kernel:"k" ~signature:"v2" candidates);
   Alcotest.(check int) "two searches" 2 (Tuner.tune_count t)
 
+(* The winner rule on fixed samples, no clock: the baseline (first)
+   has median 10 and spread 4 (max 12 - min 8). *)
+let test_tuner_choose_margin () =
+  let base = ("base", [| 12.; 10.; 8. |]) in
+  Alcotest.(check (pair string (float 0.)))
+    "a challenger inside the baseline's spread loses" ("base", 10.)
+    (Tuner.choose [ base; ("near", [| 7.; 7.; 7. |]); ("slow", [| 20.; 20.; 20. |]) ]);
+  Alcotest.(check (pair string (float 0.)))
+    "a challenger beyond the spread wins" ("far", 5.)
+    (Tuner.choose [ base; ("near", [| 7.; 7.; 7. |]); ("far", [| 5.; 6.; 4. |]) ]);
+  Alcotest.(check (pair string (float 0.)))
+    "a lone baseline wins" ("base", 10.) (Tuner.choose [ base ]);
+  Alcotest.check_raises "no candidates"
+    (Invalid_argument "Tuner.choose: no candidates") (fun () ->
+      ignore (Tuner.choose []))
+
 let test_tuner_picks_faster () =
   let t = Tuner.create ~repeats:3 () in
   let slow () =
@@ -369,6 +385,7 @@ let suite =
     Alcotest.test_case "tuner caches" `Quick test_tuner_caches;
     Alcotest.test_case "tuner signatures" `Quick test_tuner_distinguishes_signatures;
     Alcotest.test_case "tuner picks faster" `Quick test_tuner_picks_faster;
+    Alcotest.test_case "tuner winner margin" `Quick test_tuner_choose_margin;
     Alcotest.test_case "backup/restore" `Quick test_tuner_backup_restore;
     Alcotest.test_case "save/load" `Quick test_tuner_save_load;
     Alcotest.test_case "load: truncated line" `Quick test_tuner_load_truncated;

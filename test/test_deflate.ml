@@ -114,10 +114,11 @@ let prop_augment_pool_identity =
       let _, space = space_of ~n () in
       let r = gaussian n 91 in
       let x1 = gaussian n 92 in
-      let x2 = Field.copy x1 in
+      let x2 = Field.copy x1 and x3 = Field.copy x1 in
       Deflate.augment space ~r x1;
-      Deflate.augment_with (Pool.shared ~domains) ~chunk space ~r x2;
-      Field.max_abs_diff x1 x2 = 0.)
+      Deflate.augment ~pool:(Pool.shared ~domains) ~chunk space ~r x2;
+      Deflate.augment ~pool:(Pool.shared ~domains:1) space ~r x3;
+      Field.max_abs_diff x1 x2 = 0. && Field.max_abs_diff x1 x3 = 0.)
 
 let test_augment_multi_rows () =
   let n = 192 in

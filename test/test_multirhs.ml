@@ -80,11 +80,19 @@ let test_multi_blas_pooled_matches_serial () =
     (fun chunk ->
       let xs1 = copies xs and rs1 = copies rs in
       let xs2 = copies xs and rs2 = copies rs in
+      let xs3 = copies xs and rs3 = copies rs in
       let a = Multi.cg_update alphas ps aps xs1 rs1 in
-      let b = Multi.cg_update_with pool ~chunk alphas ps aps xs2 rs2 in
+      let b = Multi.cg_update ~pool ~chunk alphas ps aps xs2 rs2 in
+      let c =
+        Multi.cg_update ~pool:(Util.Pool.shared ~domains:1) alphas ps aps xs3
+          rs3
+      in
       check_floats (Printf.sprintf "pooled |r|2 chunk=%d" chunk) a b;
+      check_floats "explicit one-lane |r|2" a c;
       Array.iteri (fun i x -> check_bits "pooled x" x xs2.(i)) xs1;
-      Array.iteri (fun i rr -> check_bits "pooled r" rr rs2.(i)) rs1)
+      Array.iteri (fun i rr -> check_bits "pooled r" rr rs2.(i)) rs1;
+      Array.iteri (fun i x -> check_bits "one-lane x" x xs3.(i)) xs1;
+      Array.iteri (fun i rr -> check_bits "one-lane r" rr rs3.(i)) rs1)
     [ 512; 2048; 4096; 16384 ]
 
 let test_block_axpy_matches_sequential () =
@@ -137,13 +145,12 @@ let prop_hop_multi_bit_identical =
       Array.iteri (fun v src -> Wilson.hop w ~src ~dst:refs.(v)) srcs;
       (match geom_idx with
       | 0 -> Wilson.hop_multi w ~srcs ~dsts
-      | 1 ->
-        Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs ~dsts
+      | 1 -> Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:1) w ~srcs ~dsts
       | 2 ->
-        Wilson.hop_multi_with (Util.Pool.shared ~domains:2) ~chunk:7 w ~srcs
+        Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:2) ~chunk:7 w ~srcs
           ~dsts
       | _ ->
-        Wilson.hop_multi_with (Util.Pool.shared ~domains:4) ~chunk:33 w ~srcs
+        Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:4) ~chunk:33 w ~srcs
           ~dsts);
       Array.for_all2
         (fun d rf -> Field.max_abs_diff d rf = 0.)
@@ -304,28 +311,6 @@ let test_solve_multi_wilson_normal () =
         stats.(i).Cg.iterations)
     bs
 
-let test_mixed_solve_multi_matches_singles () =
-  let n = 24 * 64 in
-  let r = rng () in
-  let k = 3 in
-  let bs = batch_of r k n in
-  let xs, stats =
-    Solver.Mixed.solve_multi ~apply:diag_apply_multi ~bs
-      ~flops_per_apply:(float_of_int (2 * n))
-      ()
-  in
-  Array.iteri
-    (fun i b ->
-      let x_ref, st_ref =
-        Solver.Mixed.solve ~apply:diag_apply_one ~b
-          ~flops_per_apply:(float_of_int (2 * n))
-          ()
-      in
-      check_bits "mixed multi x" x_ref xs.(i);
-      Alcotest.(check int) "mixed multi iters" st_ref.Cg.iterations
-        stats.(i).Cg.iterations)
-    bs
-
 (* ---------- batch width in the tuner signature ---------- *)
 
 let test_tuner_signature_includes_batch_width () =
@@ -477,8 +462,6 @@ let suite =
       test_solve_multi_x0;
     Alcotest.test_case "cg: solve_multi on the Wilson normal op" `Quick
       test_solve_multi_wilson_normal;
-    Alcotest.test_case "mixed: solve_multi = singles" `Quick
-      test_mixed_solve_multi_matches_singles;
     Alcotest.test_case "tuner: batch width in cache signature" `Quick
       test_tuner_signature_includes_batch_width;
     Alcotest.test_case "perf_model: amortized link traffic formulas" `Quick

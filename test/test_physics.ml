@@ -168,6 +168,58 @@ let test_sequential_cost_ratio () =
   let nt = Geometry.time_extent geom in
   Alcotest.(check bool) "traditional needs nt solves per column" true (nt > 1)
 
+(* ---- solve statistics and non-convergence ---- *)
+
+let test_fh_stats_are_its_own_solves () =
+  (* an FH propagator reports its own 12 solves, not the base
+     propagator's: re-running each FH solve by hand gives the same
+     iteration count *)
+  let geom, solver = Lazy.force tiny_solver in
+  let tol = 1e-10 in
+  let prop = Prop.point_propagator ~tol solver ~src_site:0 in
+  let fh = Fh.fh_propagator ~tol solver prop in
+  let l5 = (Solver.Dwf_solve.params_of solver).Dirac.Mobius.l5 in
+  let by_hand =
+    Array.fold_left
+      (fun acc column ->
+        let rhs =
+          Src.to_5d ~l5 geom (Src.apply_spin_matrix Fh.axial_matrix column)
+        in
+        let _, st = Solver.Dwf_solve.solve ~tol solver ~rhs in
+        acc + st.Solver.Cg.iterations)
+      0 prop.Prop.columns
+  in
+  Alcotest.(check int) "one stats entry per FH column" 12
+    (List.length fh.Prop.stats);
+  Alcotest.(check int) "FH iterations = its own solves'" by_hand
+    (Prop.total_iterations fh)
+
+let test_non_convergence_is_typed () =
+  (* a configuration with one non-finite link (a corrupted read) can
+     never converge: the first column's solve fails and the propagator
+     refuses it, naming the column, instead of returning garbage *)
+  let geom, solver = Lazy.force tiny_solver in
+  let poisoned =
+    let gauge = Gauge.warm geom (Util.Rng.create 808) ~eps:0.4 in
+    Bigarray.Array1.set (Gauge.data gauge) 0 Float.nan;
+    Solver.Dwf_solve.create (Solver.Dwf_solve.params_of solver) geom
+      (Gauge.with_antiperiodic_time gauge)
+  in
+  let expect_column_0 what f =
+    match f () with
+    | (_ : Prop.t) -> Alcotest.failf "%s: expected Not_converged" what
+    | exception Prop.Not_converged { column; stats } ->
+      Alcotest.(check int) (what ^ ": column") 0 column;
+      Alcotest.(check bool) (what ^ ": stats say unconverged") false
+        stats.Solver.Cg.converged
+  in
+  expect_column_0 "propagator" (fun () ->
+      Prop.point_propagator ~tol:1e-9 poisoned ~src_site:0);
+  let prop = Prop.point_propagator ~tol:1e-9 solver ~src_site:0 in
+  expect_column_0 "fh" (fun () -> Fh.fh_propagator ~tol:1e-9 poisoned prop);
+  expect_column_0 "sequential" (fun () ->
+      Fh.sequential_propagator ~tol:1e-9 poisoned ~tau:0 prop)
+
 (* ---- residual mass ---- *)
 
 let test_residual_mass_positive_and_decreasing () =
@@ -381,6 +433,10 @@ let suite =
     Alcotest.test_case "free-field axial coupling" `Slow test_free_field_axial_coupling;
     Alcotest.test_case "sequential sums to FH" `Slow test_sequential_sums_to_fh;
     Alcotest.test_case "sequential cost" `Quick test_sequential_cost_ratio;
+    Alcotest.test_case "FH stats are its own solves" `Slow
+      test_fh_stats_are_its_own_solves;
+    Alcotest.test_case "non-convergence is typed" `Slow
+      test_non_convergence_is_typed;
     Alcotest.test_case "residual mass vs L5" `Slow test_residual_mass_positive_and_decreasing;
     Alcotest.test_case "residual mass guard" `Slow test_residual_mass_requires_midpoint;
     Alcotest.test_case "meson pion = contract" `Slow test_meson_pion_matches_contract;

@@ -151,20 +151,20 @@ let prop_elementwise_bit_identical =
       let pool = Pool.shared ~domains in
       let x = mk_vec 1 n in
       let y0 = mk_vec 2 n in
-      let run_serial f = f (Pool.shared ~domains:1) in
-      let run_pooled f = f pool in
       List.for_all
-        (fun kern ->
+        (fun (kern : ?pool:Pool.t -> ?chunk:int -> Field.t -> Field.t -> unit) ->
           let ys = Field.copy y0 and yp = Field.copy y0 in
-          run_serial (fun p -> kern p ~chunk:n x ys);
-          run_pooled (fun p -> kern p ~chunk x yp);
-          bytes_equal ys yp)
+          let yi = Field.copy y0 in
+          kern ~pool:(Pool.shared ~domains:1) ~chunk:n x ys;
+          kern ~pool ~chunk x yp;
+          kern x yi;
+          bytes_equal ys yp && bytes_equal ys yi)
         [
-          (fun p ~chunk x y -> Field.axpy_with p ~chunk 0.7 x y);
-          (fun p ~chunk x y -> Field.xpay_with p ~chunk x (-0.3) y);
-          (fun p ~chunk _ y -> Field.scale_with p ~chunk 1.1 y);
-          (fun p ~chunk x y -> Field.sub_with p ~chunk x y y);
-          (fun p ~chunk x y -> Field.caxpy_with p ~chunk (0.4, -0.9) x y);
+          (fun ?pool ?chunk x y -> Field.axpy ?pool ?chunk 0.7 x y);
+          (fun ?pool ?chunk x y -> Field.xpay ?pool ?chunk x (-0.3) y);
+          (fun ?pool ?chunk _ y -> Field.scale ?pool ?chunk 1.1 y);
+          (fun ?pool ?chunk x y -> Field.sub ?pool ?chunk x y y);
+          (fun ?pool ?chunk x y -> Field.caxpy ?pool ?chunk (0.4, -0.9) x y);
         ])
 
 let prop_reductions_bit_stable =
@@ -177,15 +177,18 @@ let prop_reductions_bit_stable =
       let pool = Pool.shared ~domains in
       let serial = Pool.shared ~domains:1 in
       let x = mk_vec 3 n and y = mk_vec 4 n in
-      let n2_s = Field.norm2_with serial x in
-      let n2_p = Field.norm2_with pool ~chunk x in
-      let n2_p2 = Field.norm2_with pool ~chunk x in
-      let dr_s = Field.dot_re_with serial x y in
-      let dr_p = Field.dot_re_with pool ~chunk x y in
-      let cd_s = Field.cdot_with serial x y in
-      let cd_p = Field.cdot_with pool ~chunk x y in
-      let cd_p2 = Field.cdot_with pool ~chunk x y in
-      n2_s = n2_p && n2_p = n2_p2 && dr_s = dr_p && cd_s = cd_p && cd_p = cd_p2)
+      let n2_s = Field.norm2 ~pool:serial x in
+      let n2_p = Field.norm2 ~pool ~chunk x in
+      let n2_p2 = Field.norm2 ~pool ~chunk x in
+      let dr_s = Field.dot_re ~pool:serial x y in
+      let dr_p = Field.dot_re ~pool ~chunk x y in
+      let cd_s = Field.cdot ~pool:serial x y in
+      let cd_p = Field.cdot ~pool ~chunk x y in
+      let cd_p2 = Field.cdot ~pool ~chunk x y in
+      n2_s = n2_p && n2_p = n2_p2 && dr_s = dr_p && cd_s = cd_p && cd_p = cd_p2
+      && Field.norm2 x = n2_s
+      && Field.dot_re x y = dr_s
+      && Field.cdot x y = cd_s)
 
 let prop_reductions_geometry_independent =
   (* the canonical blocked combine: the same value for EVERY geometry,
@@ -195,7 +198,7 @@ let prop_reductions_geometry_independent =
     (fun ((domains, chunk), half) ->
       let n = 2 * half in
       let x = mk_vec 5 n in
-      Field.norm2 x = Field.norm2_with (Pool.shared ~domains) ~chunk x)
+      Field.norm2 x = Field.norm2 ~pool:(Pool.shared ~domains) ~chunk x)
 
 let prop_wilson_hop_bit_identical =
   QCheck.Test.make ~name:"pooled Wilson hop bit-identical to serial" ~count:10
@@ -207,11 +210,13 @@ let prop_wilson_hop_bit_identical =
       let n = Lattice.Geometry.volume geom * Dirac.Wilson.floats_per_site in
       let src = mk_vec 7 n in
       let ds = Field.create n and dp = Field.create n in
+      let di = Field.create n in
       Dirac.Wilson.hop_sites w ~src ~dst:ds ();
-      Dirac.Wilson.hop_with (Pool.shared ~domains)
+      Dirac.Wilson.hop ~pool:(Pool.shared ~domains)
         ~chunk:(1 + (chunk mod Lattice.Geometry.volume geom))
         w ~src ~dst:dp;
-      bytes_equal ds dp)
+      Dirac.Wilson.hop w ~src ~dst:di;
+      bytes_equal ds dp && bytes_equal ds di)
 
 let prop_mobius_hop_bit_identical =
   (* the 5d operator dispatches on the default pool: route it through
@@ -262,7 +267,7 @@ let test_sanitize_on_pooled_path () =
   let trapped =
     try
       Field.Sanitize.scoped (fun () ->
-          Field.axpy_with (Pool.shared ~domains:4) ~chunk:256 2.0 x y);
+          Field.axpy ~pool:(Pool.shared ~domains:4) ~chunk:256 2.0 x y);
       false
     with Field.Sanitize.Non_finite ("Field.axpy", _, _) -> true
   in

@@ -115,13 +115,20 @@ let test_hop_bit_identical_across_pools () =
       let w = Wilson.of_geometry ~recon:c geom gauge in
       let srcs = batch_of (rng ()) k n in
       let refs = Array.init k (fun _ -> Field.create n) in
-      Wilson.hop_multi_with (Util.Pool.shared ~domains:1) w ~srcs ~dsts:refs;
+      Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:1) w ~srcs ~dsts:refs;
+      let implicit = Array.init k (fun _ -> Field.create n) in
+      Wilson.hop_multi w ~srcs ~dsts:implicit;
+      Array.iteri
+        (fun i dst ->
+          check_bits
+            (Printf.sprintf "%s implicit rhs %d" (Codec.name c) i)
+            refs.(i) dst)
+        implicit;
       List.iter
         (fun (d, chunk) ->
           let dsts = Array.init k (fun _ -> Field.create n) in
-          Wilson.hop_multi_with
-            (Util.Pool.shared ~domains:d)
-            ~chunk w ~srcs ~dsts;
+          Wilson.hop_multi ~pool:(Util.Pool.shared ~domains:d) ~chunk w ~srcs
+            ~dsts;
           Array.iteri
             (fun i dst ->
               check_bits
