@@ -525,7 +525,7 @@ let apply_schur_normal_tail eo ~src ~dst ~tail =
    per-RHS with [apply_hop]'s own loops, so each dst in the batch is
    bit-identical to the independent single-RHS chain for any batch
    width and pool geometry. It does not replace the single-RHS chain:
-   at k = 1 it is 1.27-1.32x slower (see [Wilson.make_do_site_multi]),
+   at k = 1 it is 1.84-1.97x slower (see [Wilson.make_do_site_multi]),
    and the solves that run it are most of the Fig 2 wall time. *)
 
 let apply_hop_multi p kernel ~n4_src ~n4_dst ~(srcs : Linalg.Field.t array)

@@ -13,18 +13,20 @@
    dst(x) = sum_mu [ U_mu(x) (1-g_mu) src(x+mu)
                    + U_mu(x-mu)^dag (1+g_mu) src(x-mu) ]
 
-   Gauge storage is behind a link-fetch: the tables name links (site·4
-   + mu), and each site body materializes the link into an 18-float
-   scratch before the mat-vec — a plain float64 copy for the full
-   store (same values, so bit-identical to the pre-codec kernel), or a
-   Su3_codec reconstruction for a packed store (Lattice.Recon), which
-   is how the reconstruct-12/8 compression reaches every hop flavor
-   (hop, hop_tail, hop_multi, and the Mobius Schur chain built on
-   them) through the one kernel body. *)
+   The tables name links (site·4 + mu), and a site body reads each
+   link in place from one float64 store: the gauge Bigarray itself for
+   the full store (link l at l·18, no copy), or, for a packed store
+   (Lattice.Recon), an 18-float scratch the link is decoded into once
+   per use — which is how the reconstruct-12/8 compression reaches
+   every hop flavor (hop, hop_tail, hop_multi, and the Mobius Schur
+   chain built on them) through the same bodies. *)
 
 open Bigarray
 module Cplx = Linalg.Cplx
 module Codec = Linalg.Su3_codec
+
+let ( .%{} ) (f : Linalg.Field.t) i = Array1.unsafe_get f i
+let ( .%{}<- ) (f : Linalg.Field.t) i v = Array1.unsafe_set f i v
 
 type store =
   | Full of Linalg.Field.t  (* shared Gauge.data, 18 reals per link *)
@@ -110,23 +112,32 @@ let of_checkerboard ?(recon = Codec.Full18) geom gauge_field ~parity =
     recon;
   }
 
-(* The link-fetch a site body uses: fills the closure's 18-float
-   scratch from the store. Built inside make_do_site* so pooled ranges
-   never share the packed-codec scratch. The full-store fetch is a
-   float64 copy — identical values, so the kernel's float operations
-   (and results) are bit-for-bit those of the direct-indexing kernel
-   it replaced. *)
-let make_fetch t =
+(* The link store a site body reads, and where link [l] sits in it.
+   Full18: the shared gauge Bigarray, link l at l·18 — read in place.
+   Packed: one 18-float scratch per site body (fresh per pooled range,
+   so ranges never share it) that [link_base] decodes link l into,
+   at 0. Either way the body reads the same 18 float64 values at the
+   same offsets. *)
+type links = {
+  u : Linalg.Field.t;
+  decode : (Lattice.Recon.t * float array) option;  (* packed stream, codec scratch *)
+}
+
+let links t =
   match t.store with
-  | Full g ->
-    fun link (uf : float array) ->
-      let base = link * 18 in
-      for j = 0 to 17 do
-        Array.unsafe_set uf j (Array1.unsafe_get g (base + j))
-      done
+  | Full g -> { u = g; decode = None }
   | Packed p ->
-    let packed = Array.make (Codec.reals (Lattice.Recon.codec p)) 0. in
-    fun link uf -> Lattice.Recon.decode_sub p ~link ~packed uf
+    {
+      u = Linalg.Field.create 18;
+      decode = Some (p, Array.make (Codec.reals (Lattice.Recon.codec p)) 0.);
+    }
+
+let link_base lk l =
+  match lk.decode with
+  | None -> l * 18
+  | Some (p, packed) ->
+    Lattice.Recon.decode_sub p ~link:l ~packed lk.u;
+    0
 
 (* Per-direction projection data: for all four gammas, spins {0,1}
    partner with {2,3}; (1 - sign*gamma) component s in {0,1} is
@@ -141,104 +152,189 @@ let phases =
       and p1 = Gamma.gammas.(mu).Gamma.phase.(1) in
       (p0.Cplx.re, p0.Cplx.im, p1.Cplx.re, p1.Cplx.im))
 
-(* The site body closes over freshly allocated scratch (acc, half-
-   spinors, mat-vec results): each pooled range builds its own closure,
-   so concurrent ranges never share mutable state. Writes land only in
-   dst[x*fps, (x+1)*fps) of the written site and all reads are of the
-   source field — site-partitioned execution is race-free. *)
+(* The single-RHS site body. Each direction is two straight-line
+   halves with the sign folded in. Forward: h = spins {0,1} of
+   (1 - gamma_mu) src(x+mu), g = U_mu(x) h, then dst(x) gets g on
+   spins {0,1} and -conj(phase)·g on their partners. Backward: the
+   same with (1 + gamma_mu), U_mu(x-mu)^dag (row r of U^dag is the
+   conjugated column r of U) and +conj(phase)·g. Half-spinors and
+   mat-vec sums are let-bound floats, unboxed by ocamlopt; nothing is
+   allocated per site or link.
+
+   The arithmetic is the generic body's with sign = -1 / +1 (and the
+   U^dag imaginary part -u) substituted: IEEE gives
+   x + (-1·y) = x - y, 1·y = y and a - ((-u)·h) = a + u·h bit for bit,
+   and every sum keeps its operands, order and association, so the
+   results are the bits of [make_do_site_multi] at k = 1. One
+   difference: a mat-vec sum here starts from its first term where the
+   generic body starts from 0., which can only change a -0 sum into
+   +0 — and no zero's sign reaches dst, which starts at +0 and under
+   round-to-nearest never becomes -0 by adding or subtracting
+   (+0 + -0 = +0, and x ± 0 = x otherwise). dst(x) is zeroed and then accumulated in place; writes
+   land only in dst[x*fps, (x+1)*fps) of the written site and all
+   reads are of the source field and the link store — site-partitioned
+   execution is race-free. *)
 let make_do_site t ~(src : Linalg.Field.t) ~(dst : Linalg.Field.t) =
-  let acc = Array.make floats_per_site 0. in
-  let h0 = Array.make 6 0. and h1 = Array.make 6 0. in
-  let g0 = Array.make 6 0. and g1 = Array.make 6 0. in
-  let uf = Array.make 18 0. in
-  let fetch = make_fetch t in
-  let do_site x =
-    Array.fill acc 0 floats_per_site 0.;
-    let xb4 = x * 4 in
-    for mu = 0 to 3 do
-      let pa, pb = partner.(mu) in
-      let p0r, p0i, p1r, p1i = phases.(mu) in
-      for side = 0 to 1 do
-        (* side 0: forward, project (1-gamma), multiply by U_mu(x).
-           side 1: backward, project (1+gamma), multiply by U^dag. *)
-        let sign = if side = 0 then -1. else 1. in
-        let nb =
-          (if side = 0 then Array.unsafe_get t.src_fwd (xb4 + mu)
-           else Array.unsafe_get t.src_bwd (xb4 + mu))
-          * floats_per_site
-        in
-        fetch
-          (if side = 0 then Array.unsafe_get t.gauge_fwd (xb4 + mu)
-           else Array.unsafe_get t.gauge_bwd (xb4 + mu))
-          uf;
-        for c = 0 to 2 do
-          let o0 = nb + (c * 2) in
-          let opa = nb + (((pa * 3) + c) * 2) in
-          let s0r = Array1.unsafe_get src o0
-          and s0i = Array1.unsafe_get src (o0 + 1) in
-          let sar = Array1.unsafe_get src opa
-          and sai = Array1.unsafe_get src (opa + 1) in
-          h0.(c * 2) <- s0r +. (sign *. ((p0r *. sar) -. (p0i *. sai)));
-          h0.((c * 2) + 1) <- s0i +. (sign *. ((p0r *. sai) +. (p0i *. sar)));
-          let o1 = nb + ((3 + c) * 2) in
-          let opb = nb + (((pb * 3) + c) * 2) in
-          let s1r = Array1.unsafe_get src o1
-          and s1i = Array1.unsafe_get src (o1 + 1) in
-          let sbr = Array1.unsafe_get src opb
-          and sbi = Array1.unsafe_get src (opb + 1) in
-          h1.(c * 2) <- s1r +. (sign *. ((p1r *. sbr) -. (p1i *. sbi)));
-          h1.((c * 2) + 1) <- s1i +. (sign *. ((p1r *. sbi) +. (p1i *. sbr)))
-        done;
-        for row = 0 to 2 do
-          let r0 = ref 0. and i0 = ref 0. and r1 = ref 0. and i1 = ref 0. in
-          for k = 0 to 2 do
-            let e =
-              if side = 0 then 2 * ((3 * row) + k) else 2 * ((3 * k) + row)
-            in
-            let ur = Array.unsafe_get uf e in
-            let ui =
-              if side = 0 then Array.unsafe_get uf (e + 1)
-              else -.Array.unsafe_get uf (e + 1)
-            in
-            let h0r = h0.(k * 2) and h0i = h0.((k * 2) + 1) in
-            r0 := !r0 +. ((ur *. h0r) -. (ui *. h0i));
-            i0 := !i0 +. ((ur *. h0i) +. (ui *. h0r));
-            let h1r = h1.(k * 2) and h1i = h1.((k * 2) + 1) in
-            r1 := !r1 +. ((ur *. h1r) -. (ui *. h1i));
-            i1 := !i1 +. ((ur *. h1i) +. (ui *. h1r))
-          done;
-          g0.(row * 2) <- !r0;
-          g0.((row * 2) + 1) <- !i0;
-          g1.(row * 2) <- !r1;
-          g1.((row * 2) + 1) <- !i1
-        done;
-        (* Reconstruct: spin0 += g0, spin1 += g1,
-           spin pa += sign*conj(p0)*g0, spin pb += sign*conj(p1)*g1
-           (for b = (1 + sign*gamma) a, b_partner = sign*conj(ph)*b). *)
-        let rs = sign in
-        for c = 0 to 2 do
-          let gr = g0.(c * 2) and gi = g0.((c * 2) + 1) in
-          acc.(c * 2) <- acc.(c * 2) +. gr;
-          acc.((c * 2) + 1) <- acc.((c * 2) + 1) +. gi;
-          let oa = ((pa * 3) + c) * 2 in
-          acc.(oa) <- acc.(oa) +. (rs *. ((p0r *. gr) +. (p0i *. gi)));
-          acc.(oa + 1) <- acc.(oa + 1) +. (rs *. ((p0r *. gi) -. (p0i *. gr)));
-          let hr = g1.(c * 2) and hi = g1.((c * 2) + 1) in
-          let o1 = (3 + c) * 2 in
-          acc.(o1) <- acc.(o1) +. hr;
-          acc.(o1 + 1) <- acc.(o1 + 1) +. hi;
-          let ob = ((pb * 3) + c) * 2 in
-          acc.(ob) <- acc.(ob) +. (rs *. ((p1r *. hr) +. (p1i *. hi)));
-          acc.(ob + 1) <- acc.(ob + 1) +. (rs *. ((p1r *. hi) -. (p1i *. hr)))
-        done
-      done
-    done;
-    let db = x * floats_per_site in
-    for k = 0 to floats_per_site - 1 do
-      Array1.unsafe_set dst (db + k) acc.(k)
+  let lk = links t in
+  let u = lk.u in
+  let fwd d xb4 mu =
+    let pa, pb = partner.(mu) in
+    let p0r, p0i, p1r, p1i = phases.(mu) in
+    let nb = Array.unsafe_get t.src_fwd (xb4 + mu) * floats_per_site in
+    let ub = link_base lk (Array.unsafe_get t.gauge_fwd (xb4 + mu)) in
+    (* h = (1 - gamma_mu) src, spins 0 and 1; their partners are spins pa, pb *)
+    let s00 = nb and t00 = nb + (pa * 6) in
+    let h00r =
+      src.%{s00} -. ((p0r *. src.%{t00}) -. (p0i *. src.%{t00 + 1}))
+    and h00i =
+      src.%{s00 + 1} -. ((p0r *. src.%{t00 + 1}) +. (p0i *. src.%{t00}))
+    in
+    let s01 = nb + 2 and t01 = nb + (((pa * 3) + 1) * 2) in
+    let h01r =
+      src.%{s01} -. ((p0r *. src.%{t01}) -. (p0i *. src.%{t01 + 1}))
+    and h01i =
+      src.%{s01 + 1} -. ((p0r *. src.%{t01 + 1}) +. (p0i *. src.%{t01}))
+    in
+    let s02 = nb + 4 and t02 = nb + (((pa * 3) + 2) * 2) in
+    let h02r =
+      src.%{s02} -. ((p0r *. src.%{t02}) -. (p0i *. src.%{t02 + 1}))
+    and h02i =
+      src.%{s02 + 1} -. ((p0r *. src.%{t02 + 1}) +. (p0i *. src.%{t02}))
+    in
+    let s10 = nb + 6 and t10 = nb + (pb * 6) in
+    let h10r =
+      src.%{s10} -. ((p1r *. src.%{t10}) -. (p1i *. src.%{t10 + 1}))
+    and h10i =
+      src.%{s10 + 1} -. ((p1r *. src.%{t10 + 1}) +. (p1i *. src.%{t10}))
+    in
+    let s11 = nb + 8 and t11 = nb + (((pb * 3) + 1) * 2) in
+    let h11r =
+      src.%{s11} -. ((p1r *. src.%{t11}) -. (p1i *. src.%{t11 + 1}))
+    and h11i =
+      src.%{s11 + 1} -. ((p1r *. src.%{t11 + 1}) +. (p1i *. src.%{t11}))
+    in
+    let s12 = nb + 10 and t12 = nb + (((pb * 3) + 2) * 2) in
+    let h12r =
+      src.%{s12} -. ((p1r *. src.%{t12}) -. (p1i *. src.%{t12 + 1}))
+    and h12i =
+      src.%{s12 + 1} -. ((p1r *. src.%{t12 + 1}) +. (p1i *. src.%{t12}))
+    in
+    for r = 0 to 2 do
+      (* row r of U_mu(x) *)
+      let e = ub + (r * 6) in
+      let u0r = u.%{e} and u0i = u.%{e + 1} in
+      let u1r = u.%{e + 2} and u1i = u.%{e + 3} in
+      let u2r = u.%{e + 4} and u2i = u.%{e + 5} in
+      let g0r =
+        ((u0r *. h00r) -. (u0i *. h00i)) +. ((u1r *. h01r) -. (u1i *. h01i))
+        +. ((u2r *. h02r) -. (u2i *. h02i))
+      and g0i =
+        ((u0r *. h00i) +. (u0i *. h00r)) +. ((u1r *. h01i) +. (u1i *. h01r))
+        +. ((u2r *. h02i) +. (u2i *. h02r))
+      and g1r =
+        ((u0r *. h10r) -. (u0i *. h10i)) +. ((u1r *. h11r) -. (u1i *. h11i))
+        +. ((u2r *. h12r) -. (u2i *. h12i))
+      and g1i =
+        ((u0r *. h10i) +. (u0i *. h10r)) +. ((u1r *. h11i) +. (u1i *. h11r))
+        +. ((u2r *. h12i) +. (u2i *. h12r))
+      in
+      (* dst += g on spins 0/1, -conj(phase)·g on the partners *)
+      let o0 = d + (r * 2) and o1 = d + 6 + (r * 2) in
+      let oa = d + (pa * 6) + (r * 2) and ob = d + (pb * 6) + (r * 2) in
+      dst.%{o0} <- dst.%{o0} +. g0r;
+      dst.%{o0 + 1} <- dst.%{o0 + 1} +. g0i;
+      dst.%{oa} <- dst.%{oa} -. ((p0r *. g0r) +. (p0i *. g0i));
+      dst.%{oa + 1} <- dst.%{oa + 1} -. ((p0r *. g0i) -. (p0i *. g0r));
+      dst.%{o1} <- dst.%{o1} +. g1r;
+      dst.%{o1 + 1} <- dst.%{o1 + 1} +. g1i;
+      dst.%{ob} <- dst.%{ob} -. ((p1r *. g1r) +. (p1i *. g1i));
+      dst.%{ob + 1} <- dst.%{ob + 1} -. ((p1r *. g1i) -. (p1i *. g1r))
     done
   in
-  do_site
+  let bwd d xb4 mu =
+    let pa, pb = partner.(mu) in
+    let p0r, p0i, p1r, p1i = phases.(mu) in
+    let nb = Array.unsafe_get t.src_bwd (xb4 + mu) * floats_per_site in
+    let ub = link_base lk (Array.unsafe_get t.gauge_bwd (xb4 + mu)) in
+    (* h = (1 + gamma_mu) src, spins 0 and 1; their partners are spins pa, pb *)
+    let s00 = nb and t00 = nb + (pa * 6) in
+    let h00r =
+      src.%{s00} +. ((p0r *. src.%{t00}) -. (p0i *. src.%{t00 + 1}))
+    and h00i =
+      src.%{s00 + 1} +. ((p0r *. src.%{t00 + 1}) +. (p0i *. src.%{t00}))
+    in
+    let s01 = nb + 2 and t01 = nb + (((pa * 3) + 1) * 2) in
+    let h01r =
+      src.%{s01} +. ((p0r *. src.%{t01}) -. (p0i *. src.%{t01 + 1}))
+    and h01i =
+      src.%{s01 + 1} +. ((p0r *. src.%{t01 + 1}) +. (p0i *. src.%{t01}))
+    in
+    let s02 = nb + 4 and t02 = nb + (((pa * 3) + 2) * 2) in
+    let h02r =
+      src.%{s02} +. ((p0r *. src.%{t02}) -. (p0i *. src.%{t02 + 1}))
+    and h02i =
+      src.%{s02 + 1} +. ((p0r *. src.%{t02 + 1}) +. (p0i *. src.%{t02}))
+    in
+    let s10 = nb + 6 and t10 = nb + (pb * 6) in
+    let h10r =
+      src.%{s10} +. ((p1r *. src.%{t10}) -. (p1i *. src.%{t10 + 1}))
+    and h10i =
+      src.%{s10 + 1} +. ((p1r *. src.%{t10 + 1}) +. (p1i *. src.%{t10}))
+    in
+    let s11 = nb + 8 and t11 = nb + (((pb * 3) + 1) * 2) in
+    let h11r =
+      src.%{s11} +. ((p1r *. src.%{t11}) -. (p1i *. src.%{t11 + 1}))
+    and h11i =
+      src.%{s11 + 1} +. ((p1r *. src.%{t11 + 1}) +. (p1i *. src.%{t11}))
+    in
+    let s12 = nb + 10 and t12 = nb + (((pb * 3) + 2) * 2) in
+    let h12r =
+      src.%{s12} +. ((p1r *. src.%{t12}) -. (p1i *. src.%{t12 + 1}))
+    and h12i =
+      src.%{s12 + 1} +. ((p1r *. src.%{t12 + 1}) +. (p1i *. src.%{t12}))
+    in
+    for r = 0 to 2 do
+      (* row r of U_mu(x-mu)^dag: conj of column r of the stored link *)
+      let e = ub + (r * 2) in
+      let v0r = u.%{e} and v0i = u.%{e + 1} in
+      let v1r = u.%{e + 6} and v1i = u.%{e + 7} in
+      let v2r = u.%{e + 12} and v2i = u.%{e + 13} in
+      let g0r =
+        ((v0r *. h00r) +. (v0i *. h00i)) +. ((v1r *. h01r) +. (v1i *. h01i))
+        +. ((v2r *. h02r) +. (v2i *. h02i))
+      and g0i =
+        ((v0r *. h00i) -. (v0i *. h00r)) +. ((v1r *. h01i) -. (v1i *. h01r))
+        +. ((v2r *. h02i) -. (v2i *. h02r))
+      and g1r =
+        ((v0r *. h10r) +. (v0i *. h10i)) +. ((v1r *. h11r) +. (v1i *. h11i))
+        +. ((v2r *. h12r) +. (v2i *. h12i))
+      and g1i =
+        ((v0r *. h10i) -. (v0i *. h10r)) +. ((v1r *. h11i) -. (v1i *. h11r))
+        +. ((v2r *. h12i) -. (v2i *. h12r))
+      in
+      (* dst += g on spins 0/1, +conj(phase)·g on the partners *)
+      let o0 = d + (r * 2) and o1 = d + 6 + (r * 2) in
+      let oa = d + (pa * 6) + (r * 2) and ob = d + (pb * 6) + (r * 2) in
+      dst.%{o0} <- dst.%{o0} +. g0r;
+      dst.%{o0 + 1} <- dst.%{o0 + 1} +. g0i;
+      dst.%{oa} <- dst.%{oa} +. ((p0r *. g0r) +. (p0i *. g0i));
+      dst.%{oa + 1} <- dst.%{oa + 1} +. ((p0r *. g0i) -. (p0i *. g0r));
+      dst.%{o1} <- dst.%{o1} +. g1r;
+      dst.%{o1 + 1} <- dst.%{o1 + 1} +. g1i;
+      dst.%{ob} <- dst.%{ob} +. ((p1r *. g1r) +. (p1i *. g1i));
+      dst.%{ob + 1} <- dst.%{ob + 1} +. ((p1r *. g1i) -. (p1i *. g1r))
+    done
+  in
+  fun x ->
+    let d = x * floats_per_site in
+    for k = d to d + floats_per_site - 1 do
+      dst.%{k} <- 0.
+    done;
+    let xb4 = x * 4 in
+    for mu = 0 to 3 do
+      fwd d xb4 mu;
+      bwd d xb4 mu
+    done
 
 let check_dst t (dst : Linalg.Field.t) =
   if Linalg.Field.length dst < t.n_sites * floats_per_site then
@@ -270,14 +366,17 @@ let hop ?pool ?chunk t ~src ~dst =
    element (ur, ui) of each (site, mu, side, row, column) is loaded
    once and applied to every RHS's half-spinor before the next element
    is touched, so the link field streams once per site instead of once
-   per solve. Per RHS the float operations — operands, order,
-   association — are exactly [make_do_site]'s, only interleaved across
-   the batch, so each dst is bit-identical to the independent [hop]'s
-   (serial or pooled; site partitioning is race-free exactly as for
-   the single-RHS kernel, every range closing over fresh scratch).
-   The single-RHS body stays: at k = 1 the batched Möbius Schur chain
-   on it took a median 1.27-1.32x the single-RHS chain's time (5 runs
-   of 31x50 applies, 4^4 x L5 = 4, 2-core Xeon). *)
+   per solve. Links are read through the same [links] store as the
+   single-RHS body. Per RHS the float operations — operands, order,
+   association — are [make_do_site]'s before its signs were folded in
+   (generic [sign *.] and the U^dag [-. ui]), which its folded form
+   reproduces bit for bit, only interleaved across the batch: each dst
+   is bit-identical to the independent [hop]'s (serial or pooled; site
+   partitioning is race-free exactly as for the single-RHS kernel,
+   every range closing over fresh scratch). The single-RHS body stays:
+   at k = 1 the batched Möbius Schur chain on this body took a median
+   1.84-1.97x the single-RHS chain's time (5 runs of 31x50 interleaved
+   applies, 4^4 x L5 = 4, 2-core Xeon). *)
 let make_do_site_multi t ~(srcs : Linalg.Field.t array)
     ~(dsts : Linalg.Field.t array) =
   let k = Array.length srcs in
@@ -288,8 +387,8 @@ let make_do_site_multi t ~(srcs : Linalg.Field.t array)
   let g1s = Array.init k (fun _ -> Array.make 6 0.) in
   let r0s = Array.make k 0. and i0s = Array.make k 0. in
   let r1s = Array.make k 0. and i1s = Array.make k 0. in
-  let uf = Array.make 18 0. in
-  let fetch = make_fetch t in
+  let lk = links t in
+  let u = lk.u in
   let do_site x =
     for v = 0 to k - 1 do
       Array.fill accs.(v) 0 floats_per_site 0.
@@ -305,11 +404,12 @@ let make_do_site_multi t ~(srcs : Linalg.Field.t array)
            else Array.unsafe_get t.src_bwd (xb4 + mu))
           * floats_per_site
         in
-        (* one link fetch (and, packed, one reconstruction) per k RHS *)
-        fetch
-          (if side = 0 then Array.unsafe_get t.gauge_fwd (xb4 + mu)
-           else Array.unsafe_get t.gauge_bwd (xb4 + mu))
-          uf;
+        (* one link read (and, packed, one reconstruction) per k RHS *)
+        let ub =
+          link_base lk
+            (if side = 0 then Array.unsafe_get t.gauge_fwd (xb4 + mu)
+             else Array.unsafe_get t.gauge_bwd (xb4 + mu))
+        in
         for v = 0 to k - 1 do
           let src = Array.unsafe_get srcs v in
           let h0 = h0s.(v) and h1 = h1s.(v) in
@@ -345,11 +445,8 @@ let make_do_site_multi t ~(srcs : Linalg.Field.t array)
               else 2 * ((3 * col) + row)
             in
             (* the amortized load: one gauge element, k RHS *)
-            let ur = Array.unsafe_get uf e in
-            let ui =
-              if side = 0 then Array.unsafe_get uf (e + 1)
-              else -.Array.unsafe_get uf (e + 1)
-            in
+            let ur = u.%{ub + e} in
+            let ui = if side = 0 then u.%{ub + e + 1} else -.u.%{ub + e + 1} in
             for v = 0 to k - 1 do
               let h0 = h0s.(v) and h1 = h1s.(v) in
               let h0r = h0.(col * 2) and h0i = h0.((col * 2) + 1) in

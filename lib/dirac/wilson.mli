@@ -2,14 +2,17 @@
     the full-volume, domain-decomposed and checkerboarded cases.
 
     Every constructor takes [?recon] (default [Full18]): the gauge
-    codec of the link store. Packed codecs ([Recon12]/[Recon8],
-    [Lattice.Recon]) store 12/8 reals per link and reconstruct the
-    full matrix into a per-closure scratch at the point of use — every
-    hop flavor (plain, tail-fused, multi-RHS, and the Mobius chain on
-    top) decodes through the one kernel body, and for a fixed codec
-    the results are bit-identical across pool geometries. [Full18]
-    fetches are exact float64 copies, bit-identical to the
-    direct-indexing kernel they replaced. *)
+    codec of the link store. A [Full18] store is the gauge field
+    itself: the site bodies read each link in place, 18 float64 values
+    at [link·18], with no copy. Packed codecs ([Recon12]/[Recon8],
+    [Lattice.Recon]) store 12/8 reals per link and decode each link
+    once per use into one 18-float scratch per site body, which the
+    same body then reads — every hop flavor (plain, tail-fused,
+    multi-RHS, and the Mobius chain on top) goes through it, and for a
+    fixed codec the results are bit-identical across pool geometries.
+    The single-RHS body is straight-line (the forward and backward
+    halves written out with their signs folded in) and allocates
+    nothing per site or link. *)
 
 type t
 

@@ -57,13 +57,13 @@ let pack codec (gauge : Gauge.t) = pack_field codec (Gauge.data gauge)
    stream), so pooled stencil ranges decoding the same link always
    produce the same bits — codec-fixed results are bit-identical
    across pool geometries. *)
-let decode_sub t ~link ~(packed : float array) (u : float array) =
+let decode_sub t ~link ~(packed : float array) (u : F.t) =
   let rpl = C.reals t.codec in
   let pb = link * rpl in
   match t.codec with
   | C.Full18 ->
     for j = 0 to 17 do
-      u.(j) <- Bigarray.Array1.unsafe_get t.reals (pb + j)
+      Bigarray.Array1.unsafe_set u j (Bigarray.Array1.unsafe_get t.reals (pb + j))
     done
   | C.Recon12 | C.Recon8 ->
     for j = 0 to rpl - 1 do
@@ -74,18 +74,13 @@ let decode_sub t ~link ~(packed : float array) (u : float array) =
     in
     C.decode_into t.codec packed ~off:0 ~sign u
 
-let decode_into t ~link (u : float array) =
+let decode_into t ~link (u : F.t) =
   decode_sub t ~link ~packed:(Array.make (C.reals t.codec) 0.) u
 
 let unpack t =
   let out = F.create (t.n_links * 18) in
-  let u = Array.make 18 0. in
   for l = 0 to t.n_links - 1 do
-    decode_into t ~link:l u;
-    let base = l * 18 in
-    for j = 0 to 17 do
-      Bigarray.Array1.unsafe_set out (base + j) u.(j)
-    done
+    decode_into t ~link:l (Bigarray.Array1.sub out (l * 18) 18)
   done;
   out
 

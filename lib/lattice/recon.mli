@@ -17,14 +17,14 @@ val pack_field : Linalg.Su3_codec.codec -> Linalg.Field.t -> t
 (** Same on a raw 18-reals-per-link stream (the extended gauge of a
     domain-decomposed rank). *)
 
-val decode_sub : t -> link:int -> packed:float array -> float array -> unit
+val decode_sub : t -> link:int -> packed:float array -> Linalg.Field.t -> unit
 (** Hot path: rebuild one link into an 18-float scratch; [packed] is
     caller scratch of [Su3_codec.reals (codec t)] floats (own one per
     stencil closure — fresh per pooled range). Pure per-link, so
     results for a fixed codec are bit-identical across pool
     geometries; [Full18] decode is an exact copy of the source. *)
 
-val decode_into : t -> link:int -> float array -> unit
+val decode_into : t -> link:int -> Linalg.Field.t -> unit
 (** Allocating convenience wrapper of {!decode_sub}. *)
 
 val unpack : t -> Linalg.Field.t

@@ -34,6 +34,8 @@
 
 type codec = Full18 | Recon12 | Recon8
 
+let ( .%{}<- ) (u : Field.t) j v = Bigarray.Array1.unsafe_set u j v
+
 let all = [ Full18; Recon12; Recon8 ]
 
 let name = function
@@ -104,11 +106,16 @@ let encode_into codec (u : Su3.t) (dst : float array) ~off =
     dst.(off + 7) <- atan2 (v 13) (v 12);      (* θ2 = arg c1 *)
     s
 
-let decode_into codec (src : float array) ~off ~sign (u : float array) =
+let decode_into codec (src : float array) ~off ~sign (u : Field.t) =
   match codec with
-  | Full18 -> Array.blit src off u 0 18
+  | Full18 ->
+    for j = 0 to 17 do
+      u.%{j} <- src.(off + j)
+    done
   | Recon12 ->
-    Array.blit src off u 0 12;
+    for j = 0 to 11 do
+      u.%{j} <- src.(off + j)
+    done;
     (* U2 = s·conj(U0 × U1) *)
     let u0r = src.(off) and u0i = src.(off + 1) in
     let u1r = src.(off + 2) and u1i = src.(off + 3) in
@@ -125,12 +132,12 @@ let decode_into codec (src : float array) ~off ~sign (u : float array) =
     (* c2 = u0·v1 − u1·v0 *)
     let c2r = (u0r *. v1r) -. (u0i *. v1i) -. ((u1r *. v0r) -. (u1i *. v0i)) in
     let c2i = (u0r *. v1i) +. (u0i *. v1r) -. ((u1r *. v0i) +. (u1i *. v0r)) in
-    u.(12) <- sign *. c0r;
-    u.(13) <- -.sign *. c0i;
-    u.(14) <- sign *. c1r;
-    u.(15) <- -.sign *. c1i;
-    u.(16) <- sign *. c2r;
-    u.(17) <- -.sign *. c2i
+    u.%{12} <- sign *. c0r;
+    u.%{13} <- -.sign *. c0i;
+    u.%{14} <- sign *. c1r;
+    u.%{15} <- -.sign *. c1i;
+    u.%{16} <- sign *. c2r;
+    u.%{17} <- -.sign *. c2i
   | Recon8 ->
     let th1 = src.(off) in
     let a2r = src.(off + 1) and a2i = src.(off + 2) in
@@ -170,31 +177,35 @@ let decode_into codec (src : float array) ~off ~sign (u : float array) =
     let c2i = (a3r *. b1i) +. (a3i *. b1r) -. ((a1r *. b3i) +. (a1i *. b3r)) in
     let c3r = (a1r *. b2r) -. (a1i *. b2i) -. ((a2r *. b1r) -. (a2i *. b1i)) in
     let c3i = (a1r *. b2i) +. (a1i *. b2r) -. ((a2r *. b1i) +. (a2i *. b1r)) in
-    u.(0) <- sign *. a1r;
-    u.(1) <- sign *. a1i;
-    u.(2) <- sign *. a2r;
-    u.(3) <- sign *. a2i;
-    u.(4) <- sign *. a3r;
-    u.(5) <- sign *. a3i;
-    u.(6) <- sign *. b1r;
-    u.(7) <- sign *. b1i;
-    u.(8) <- sign *. b2r;
-    u.(9) <- sign *. b2i;
-    u.(10) <- sign *. b3r;
-    u.(11) <- sign *. b3i;
-    u.(12) <- sign *. c1r;
-    u.(13) <- sign *. c1i;
-    u.(14) <- sign *. c2r;
-    u.(15) <- -.sign *. c2i;
-    u.(16) <- sign *. c3r;
-    u.(17) <- -.sign *. c3i
+    u.%{0} <- sign *. a1r;
+    u.%{1} <- sign *. a1i;
+    u.%{2} <- sign *. a2r;
+    u.%{3} <- sign *. a2i;
+    u.%{4} <- sign *. a3r;
+    u.%{5} <- sign *. a3i;
+    u.%{6} <- sign *. b1r;
+    u.%{7} <- sign *. b1i;
+    u.%{8} <- sign *. b2r;
+    u.%{9} <- sign *. b2i;
+    u.%{10} <- sign *. b3r;
+    u.%{11} <- sign *. b3i;
+    u.%{12} <- sign *. c1r;
+    u.%{13} <- sign *. c1i;
+    u.%{14} <- sign *. c2r;
+    u.%{15} <- -.sign *. c2i;
+    u.%{16} <- sign *. c3r;
+    u.%{17} <- -.sign *. c3i
+
+(* Decode into a fresh 18-float link for the Su3.t-facing helpers. *)
+let decode_link codec packed ~sign : Su3.t =
+  let w = Field.create 18 in
+  decode_into codec packed ~off:0 ~sign w;
+  Field.to_array w
 
 let round_trip codec (u : Su3.t) : Su3.t =
   let packed = Array.make (reals codec) 0. in
   let sign = encode_into codec u packed ~off:0 in
-  let w = Array.make 18 0. in
-  decode_into codec packed ~off:0 ~sign w;
-  w
+  decode_link codec packed ~sign
 
 let round_trip_error codec u = Su3.frobenius_dist u (round_trip codec u)
 
@@ -213,6 +224,4 @@ let pack_fixed codec (u : Su3.t) =
 let unpack_fixed codec (data, norm, sign) =
   let packed = Array.make (reals codec) 0. in
   Quantize.decode_array data ~norm packed;
-  let u = Array.make 18 0. in
-  decode_into codec packed ~off:0 ~sign u;
-  u
+  decode_link codec packed ~sign

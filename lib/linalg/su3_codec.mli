@@ -47,7 +47,7 @@ val encode_into : codec -> Su3.t -> float array -> off:int -> float
 (** Pack the link into [dst[off, off + reals codec)]; returns the sign
     the decoder must be given. Raises {!Degenerate} ([Recon8] only). *)
 
-val decode_into : codec -> float array -> off:int -> sign:float -> float array -> unit
+val decode_into : codec -> float array -> off:int -> sign:float -> Field.t -> unit
 (** Rebuild all 18 reals into the destination scratch. For [Full18]
     and the stored rows of [Recon12] this is an exact copy — decoding
     a [Full18] stream is bit-identical to reading the original. *)

@@ -57,6 +57,18 @@ let multi_tail_kernels ~fused =
   else
     [ ("dot_re", 1); ("axpy", 1); ("axpy", 1); ("norm2", 1); ("xpay", 1) ]
 
+(* Convergence needs both residuals. The recursive |r|² keeps falling
+   after the iterate has stopped improving (rounding decouples it from
+   b − Ax), so a tolerance below the attainable floor would otherwise
+   report convergence on the recurrence alone. A solve is converged
+   only if |r| ≤ tol·|b| AND the recomputed |b − Ax|/|b| is within
+   [true_residual_slack]·tol — a factor that leaves room for the
+   ordinary drift between the two at reachable tolerances. *)
+let true_residual_slack = 10.
+
+let converged ~r2 ~target ~tol ~true_res =
+  r2 <= target && true_res <= true_residual_slack *. tol
+
 let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
     ~apply ~(b : Field.t) ~tol ~max_iter ~flops_per_apply () =
   let n = Field.length b in
@@ -155,7 +167,7 @@ let solve ?(x0 : Field.t option) ?deflate ?(fused = false) ?apply_dot ?trace
     ( x,
       {
         iterations = !iters;
-        converged = !r2 <= target;
+        converged = converged ~r2:!r2 ~target ~tol ~true_res;
         relative_residual = sqrt (!r2 /. b2);
         true_relative_residual = Some true_res;
         flops;
@@ -244,7 +256,7 @@ let solve_multi ?(x0s : Field.t array option) ?deflate ?(fused = false) ?trace
       Some
         {
           iterations = iters.(i);
-          converged = r2s.(i) <= targets.(i);
+          converged = converged ~r2:r2s.(i) ~target:targets.(i) ~tol ~true_res;
           relative_residual = sqrt (r2s.(i) /. b2s.(i));
           true_relative_residual = Some true_res;
           flops;

@@ -15,6 +15,10 @@ type stats = {
 
 val pp_stats : Format.formatter -> stats -> unit
 
+val true_residual_slack : float
+(** 10: how far the recomputed true residual may exceed [tol] in a
+    converged solve ({!solve}, {!solve_multi}). *)
+
 val blas1_flops : ?fused:bool -> int -> float
 (** BLAS-1 flops of one CG iteration on vectors of [n] floats: 10n
     unfused, 12n fused (the single-pass kernels spend 2n extra flops
@@ -55,8 +59,12 @@ val solve :
   unit ->
   Linalg.Field.t * stats
 (** [solve ~apply ~b ~tol ~max_iter ~flops_per_apply ()] solves A x = b
-    for a hermitian positive-definite [apply]. Convergence criterion:
-    |r| ≤ tol·|b|. The true residual is recomputed at the end.
+    for a hermitian positive-definite [apply]. The iteration stops when
+    the recursive residual meets |r| ≤ tol·|b|; the true residual
+    |b − Ax|/|b| is recomputed at the end, and [converged] also
+    requires it to be within {!true_residual_slack}·tol — so a [tol]
+    below the attainable floor reports [converged = false] instead of
+    trusting the recurrence.
 
     [fused] (default [false]) runs the BLAS-1 tail through the
     single-pass [Linalg.Fused] kernels; the iterate, residual

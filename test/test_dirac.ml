@@ -399,6 +399,119 @@ let prop_mobius_adjoint_random_params =
       let lhs = Field.cdot u dv and rhs = Field.cdot du v in
       Cplx.abs (Cplx.sub lhs rhs) < 1e-6 *. (1. +. Cplx.abs lhs))
 
+(* ---- golden bits: the kernel pinned to recorded digests ----
+   Hex digests of the stencil and the solve on one fixed-seed field,
+   recorded before the straight-line site body replaced the
+   fetch-closure one. Each float enters the digest as its exact "%h"
+   rendering, so any change in any bit of any output — a reassociated
+   sum, a flipped zero sign — changes the digest. A rewrite of the
+   Wilson site body must leave every line here unchanged. *)
+
+let digest (f : Field.t) =
+  let b = Buffer.create (Field.length f * 24) in
+  for i = 0 to Field.length f - 1 do
+    Buffer.add_string b (Printf.sprintf "%h;" (Bigarray.Array1.get f i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_setup =
+  lazy
+    (let geom = Geometry.create [| 4; 4; 4; 4 |] in
+     let gauge = Gauge.warm geom (Util.Rng.create 4242) ~eps:0.4 in
+     (geom, Gauge.with_antiperiodic_time gauge))
+
+let golden_src n seed =
+  let f = Field.create n in
+  Field.gaussian (Util.Rng.create seed) f;
+  f
+
+let golden_hops =
+  [
+    ("full18 full", "f9fb6be6d3804f74c262b66da72750d0");
+    ("full18 even", "bc1410de65f80f0e1d18b4ae2733dd62");
+    ("full18 odd", "1379daf0716eabe3408afe0445527563");
+    ("recon12 full", "f9fb6be6d3804f74c262b66da72750d0");
+    ("recon12 even", "bc1410de65f80f0e1d18b4ae2733dd62");
+    ("recon12 odd", "1379daf0716eabe3408afe0445527563");
+    ("recon8 full", "51d0fbb43f1508f575a9405c3a7cfddc");
+    ("recon8 even", "ef252146a1a5a6fb2f6ccff8eb8076a6");
+    ("recon8 odd", "eae9d15a0715b3d9b796489b5669a5b1");
+  ]
+
+let test_golden_hop () =
+  let geom, gauge = Lazy.force golden_setup in
+  let vol = Geometry.volume geom and half = Geometry.half_volume geom in
+  List.iter
+    (fun recon ->
+      let hop what w n =
+        let src = golden_src (n * Wilson.floats_per_site) 17 in
+        let dst = Field.create (n * Wilson.floats_per_site) in
+        Wilson.hop w ~src ~dst;
+        let name = Linalg.Su3_codec.name recon ^ " " ^ what in
+        Alcotest.(check string) name (List.assoc name golden_hops) (digest dst)
+      in
+      hop "full" (Wilson.of_geometry ~recon geom gauge) vol;
+      hop "even" (Wilson.of_checkerboard ~recon geom gauge ~parity:0) half;
+      hop "odd" (Wilson.of_checkerboard ~recon geom gauge ~parity:1) half)
+    Linalg.Su3_codec.[ Full18; Recon12; Recon8 ];
+  (* a point source: almost every neighbour is zero, so the zero signs
+     of the half-spinors and mat-vec sums are exercised too *)
+  let src = Field.create (vol * Wilson.floats_per_site) in
+  Bigarray.Array1.set src 0 1.;
+  let dst = Field.create (vol * Wilson.floats_per_site) in
+  Wilson.hop (Wilson.of_geometry geom gauge) ~src ~dst;
+  Alcotest.(check string) "full18 point" "7ab850e669173493da29bbd61b7f5bff"
+    (digest dst)
+
+let golden_params = Mobius.mobius ~l5:4 ~m5:1.8 ~alpha:1.5 ~mass:0.1
+
+let test_golden_schur_normal () =
+  let geom, gauge = Lazy.force golden_setup in
+  let eo = Mobius.of_geometry_eo golden_params geom gauge in
+  let n = Mobius.eo_field_length eo in
+  let dst = Field.create n in
+  Mobius.apply_schur_normal eo ~src:(golden_src n 23) ~dst;
+  Alcotest.(check string) "apply_schur_normal" "efa3e5a4bdd3760306baeed30cf9a3a7"
+    (digest dst)
+
+let test_golden_solve () =
+  let geom, gauge = Lazy.force golden_setup in
+  let solver = Solver.Dwf_solve.create golden_params geom gauge in
+  let rhs = golden_src (Solver.Dwf_solve.field_length solver) 29 in
+  let x, st = Solver.Dwf_solve.solve ~tol:1e-8 solver ~rhs in
+  Alcotest.(check int) "iterations" 57 st.Solver.Cg.iterations;
+  Alcotest.(check string) "solution" "4b90fcab3ccbc5a8e0e89f2735466647" (digest x)
+
+(* ---- allocation guard: no per-site or per-link allocation ----
+   A serial hop allocates its site body's scratch once per launch, so
+   the minor words a launch costs must not depend on the volume. *)
+
+let hop_minor_words ~recon dims =
+  let geom = Geometry.create dims in
+  let gauge = Gauge.warm geom (Util.Rng.create 77) ~eps:0.4 in
+  let w = Wilson.of_geometry ~recon geom gauge in
+  let n = Geometry.volume geom * Wilson.floats_per_site in
+  let src = golden_src n 5 and dst = Field.create n in
+  (* below Field.parallel_cutoff: the implicit launch is serial *)
+  assert (n < Field.parallel_cutoff);
+  Wilson.hop w ~src ~dst;
+  let before = Gc.minor_words () in
+  Wilson.hop w ~src ~dst;
+  Gc.minor_words () -. before
+
+let test_hop_allocation_volume_independent () =
+  List.iter
+    (fun recon ->
+      let name = Linalg.Su3_codec.name recon in
+      let small = hop_minor_words ~recon [| 2; 2; 2; 2 |]
+      and large = hop_minor_words ~recon [| 4; 4; 4; 4 |] in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s: 16 vs 256 sites" name) small large;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %g words per launch" name large)
+        true (large < 256.))
+    Linalg.Su3_codec.[ Full18; Recon12; Recon8 ]
+
 let suite =
   [
     Alcotest.test_case "gamma anticommutators" `Quick test_gamma_anticommutators;
@@ -421,4 +534,9 @@ let suite =
     Alcotest.test_case "eo/full consistency" `Quick test_mobius_eo_full_consistency;
     Alcotest.test_case "split/merge roundtrip" `Quick test_split_merge_roundtrip;
     QCheck_alcotest.to_alcotest prop_mobius_adjoint_random_params;
+    Alcotest.test_case "golden hop digests" `Quick test_golden_hop;
+    Alcotest.test_case "golden schur normal digest" `Quick test_golden_schur_normal;
+    Alcotest.test_case "golden solve digest" `Quick test_golden_solve;
+    Alcotest.test_case "hop allocation volume-independent" `Quick
+      test_hop_allocation_volume_independent;
   ]

@@ -220,6 +220,36 @@ let test_non_convergence_is_typed () =
   expect_column_0 "sequential" (fun () ->
       Fh.sequential_propagator ~tol:1e-9 poisoned ~tau:0 prop)
 
+let test_sub_floor_tolerance_is_not_converged () =
+  (* tol = 1e-30 is far below the double-precision floor: the
+     recursive residual still reaches it, but the recomputed true
+     residual stalls near 1e-15, so the solve must not claim
+     convergence and the propagator must refuse the column *)
+  let geom, solver = Lazy.force tiny_solver in
+  let tol = 1e-30 in
+  let rhs =
+    Src.to_5d
+      ~l5:(Solver.Dwf_solve.params_of solver).Dirac.Mobius.l5
+      geom (Src.point geom ~site:0 ~spin:0 ~color:0)
+  in
+  let _, st = Solver.Dwf_solve.solve ~tol solver ~rhs in
+  Alcotest.(check bool) "recurrence met tol" true
+    (st.Solver.Cg.relative_residual <= tol);
+  (match st.Solver.Cg.true_relative_residual with
+  | Some r ->
+    Alcotest.(check bool)
+      (Printf.sprintf "true residual %g above the slack" r)
+      true
+      (r > Solver.Cg.true_residual_slack *. tol)
+  | None -> Alcotest.fail "no true residual");
+  Alcotest.(check bool) "not converged" false st.Solver.Cg.converged;
+  match Prop.point_propagator ~tol solver ~src_site:0 with
+  | (_ : Prop.t) -> Alcotest.fail "expected Not_converged"
+  | exception Prop.Not_converged { column; stats } ->
+    Alcotest.(check int) "column" 0 column;
+    Alcotest.(check bool) "stats say unconverged" false
+      stats.Solver.Cg.converged
+
 (* ---- residual mass ---- *)
 
 let test_residual_mass_positive_and_decreasing () =
@@ -435,6 +465,8 @@ let suite =
     Alcotest.test_case "sequential cost" `Quick test_sequential_cost_ratio;
     Alcotest.test_case "FH stats are its own solves" `Slow
       test_fh_stats_are_its_own_solves;
+    Alcotest.test_case "sub-floor tolerance is not converged" `Slow
+      test_sub_floor_tolerance_is_not_converged;
     Alcotest.test_case "non-convergence is typed" `Slow
       test_non_convergence_is_typed;
     Alcotest.test_case "residual mass vs L5" `Slow test_residual_mass_positive_and_decreasing;
